@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .emx import read_emx, write_emx
-from .errors import FormatError, ValidationError
-from .linalg import SubspaceSplit, check_matrix, frobenius_sq, reconstruct, split, svd
+from .errors import FormatError, ValidationError, check_numeric_fields
+from .linalg import SubspaceSplit, check_matrix, reconstruct, split, svd
 
 
 @dataclass
@@ -32,6 +32,7 @@ class RegularizerWeights:
     lambda2: float = 1.0
 
     def __post_init__(self):
+        check_numeric_fields(self)
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValidationError("regularizer weights must be non-negative")
 
@@ -66,6 +67,7 @@ class SvdResidualAdapter:
         self.reg = reg if reg is not None else RegularizerWeights()
         self.frozen_frob_sq = sp.frozen_frob_sq
         self._w_principal = reconstruct(sp, "principal")
+        self._frozen_orth = None  # ||U_r^T U_r - I||^2 + ||V_r^T V_r - I||^2, set by reg_terms
 
     @classmethod
     def from_split(cls, n, sp, reg=None):
@@ -94,49 +96,32 @@ class SvdResidualAdapter:
             "v": m.T @ (self.u * self.s),
         }
 
-    def _stacked(self):
-        u_hat = np.concatenate([self.split.u_r, self.u], axis=1)
-        v_hat = np.concatenate([self.split.v_r, self.v], axis=1)
-        return u_hat, v_hat
-
-    def orth_loss(self):
-        """Squared Frobenius deviation of the stacked factors from orthonormality."""
-        u_hat, v_hat = self._stacked()
-        eye = np.eye(self.n)
-        cu = u_hat.T @ u_hat - eye
-        cv = v_hat.T @ v_hat - eye
-        return float(np.sum(cu * cu) + np.sum(cv * cv))
-
-    def orth_loss_grads(self):
-        u_hat, v_hat = self._stacked()
-        eye = np.eye(self.n)
-        cu = u_hat.T @ u_hat - eye
-        cv = v_hat.T @ v_hat - eye
-        r = self.split.r
-        return {
-            "u": 4.0 * (u_hat @ cu)[:, r:],
-            "v": 4.0 * (v_hat @ cv)[:, r:],
-        }
-
-    def sv_loss(self):
-        """|  ||W_eff||_F^2 - ||W_init||_F^2 |, the spectral-energy drift."""
-        return abs(frobenius_sq(self.effective_weight()) - self.frozen_frob_sq)
-
     def reg_terms(self, lambda1, lambda2):
-        """(orth_loss, sv_loss, combined weighted gradients), sharing the
-        intermediate products that orth_loss/sv_loss would recompute."""
+        """(orth, sv, gradients of lambda1 * orth + lambda2 * sv).
+
+        orth is ||Û^T Û - I||^2 + ||V̂^T V̂ - I||^2 for the stacked factors
+        Û = [U_r, U] and V̂ = [V_r, V]. Blockwise, ||Û^T Û - I||^2 =
+        ||U_r^T U_r - I||^2 + 2 ||U_r^T U||^2 + ||U^T U - I||^2, so a call costs
+        O(n r k) and no n x n array: the first block depends on the frozen
+        factors alone and is computed once, on the first call with
+        lambda1 > 0. sv is the spectral-energy drift
+        | ||W_eff||_F^2 - ||W_init||_F^2 |.
+        """
         grads = {}
         orth = 0.0
         sv = 0.0
         if lambda1 > 0:
-            u_hat, v_hat = self._stacked()
-            eye = np.eye(self.n)
-            cu = u_hat.T @ u_hat - eye
-            cv = v_hat.T @ v_hat - eye
-            orth = float(np.sum(cu * cu) + np.sum(cv * cv))
-            r = self.split.r
-            grads["u"] = 4.0 * lambda1 * (u_hat @ cu)[:, r:]
-            grads["v"] = 4.0 * lambda1 * (v_hat @ cv)[:, r:]
+            sp = self.split
+            if self._frozen_orth is None:
+                grams = (f.T @ f - np.eye(sp.r) for f in (sp.u_r, sp.v_r))
+                self._frozen_orth = sum(np.sum(g * g) for g in grams)
+            orth = self._frozen_orth
+            for key, frozen, f in (("u", sp.u_r, self.u), ("v", sp.v_r, self.v)):
+                cross = frozen.T @ f
+                gram = f.T @ f - np.eye(f.shape[1])
+                orth += 2.0 * np.sum(cross * cross) + np.sum(gram * gram)
+                grads[key] = 4.0 * lambda1 * (frozen @ cross + f @ gram)
+            orth = float(orth)
         if lambda2 > 0:
             w_eff = self.effective_weight()
             drift = float(np.sum(w_eff * w_eff)) - self.frozen_frob_sq
@@ -145,12 +130,6 @@ class SvdResidualAdapter:
             for key, g in self.weight_grad(2.0 * sign * lambda2 * w_eff).items():
                 grads[key] = grads.get(key, 0.0) + g
         return orth, sv, grads
-
-    def sv_loss_grads(self):
-        w_eff = self.effective_weight()
-        drift = frobenius_sq(w_eff) - self.frozen_frob_sq
-        sign = 0.0 if drift == 0.0 else (1.0 if drift > 0 else -1.0)
-        return self.weight_grad(2.0 * sign * w_eff)
 
     def save(self, directory):
         d = Path(directory)
@@ -294,13 +273,32 @@ def _write_manifest(directory, payload):
     (Path(directory) / "manifest.json").write_text(text)
 
 
+def read_manifest(directory, what):
+    """The JSON object in ``directory/manifest.json``; FormatError if it is
+    missing, unreadable or not an object."""
+    path = Path(directory) / "manifest.json"
+    if not path.exists():
+        raise FormatError(f"{directory}: missing {what} manifest")
+    try:
+        manifest = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise FormatError(f"{path}: unreadable {what} manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{path}: {what} manifest is not a JSON object")
+    return manifest
+
+
 def load_adapter(directory):
     """Restore any adapter saved by ``.save()``; byte-stable round trip."""
     d = Path(directory)
-    manifest_path = d / "manifest.json"
-    if not manifest_path.exists():
-        raise FormatError(f"{d}: missing adapter manifest")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = read_manifest(d, "adapter")
+    try:
+        return _load_kind(d, manifest)
+    except KeyError as exc:
+        raise FormatError(f"{d}: adapter manifest has no field {exc}") from None
+
+
+def _load_kind(d, manifest):
     kind = manifest.get("kind")
     if kind == "svd":
         n = int(manifest["n"])

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, check_numeric_fields
 from .seeding import substream
 
 SPLITS = ("pretrain", "finetune_train", "finetune_test_seen", "finetune_test_unseen")
@@ -66,6 +66,7 @@ class SyntheticSpec:
     amplitude_dir: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        check_numeric_fields(self)
         if self.clusters < 2:
             raise ConfigError("spec needs at least 2 clusters")
         if self.clusters > self.dim:

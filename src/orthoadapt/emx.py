@@ -25,7 +25,10 @@ def write_emx(path, matrix):
 
 def read_emx(path):
     """Read an EMX file back into a (rows, cols) float64 array."""
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read EMX file: {exc.strerror}") from exc
     if len(raw) < 20:
         raise FormatError(f"{path}: truncated EMX header")
     if raw[:4] != MAGIC:

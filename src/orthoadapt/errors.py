@@ -1,5 +1,9 @@
 """Exception types shared across the package."""
 
+import math
+from dataclasses import fields
+from numbers import Integral, Real
+
 
 class ValidationError(ValueError):
     """Bad caller input: shapes, ranges, non-finite data."""
@@ -23,3 +27,17 @@ class StateError(RuntimeError):
 
 class PretrainingFailure(RuntimeError):
     """Synthetic pretraining stopped below the minimum accuracy bar."""
+
+
+def check_numeric_fields(cfg):
+    """Raise ConfigError unless every int or float field of the dataclass
+    ``cfg`` holds a finite number of its declared type (bools are not
+    numbers here; ints are accepted for float fields)."""
+    for f in fields(cfg):
+        kind = {"int": Integral, "float": Real}.get(getattr(f.type, "__name__", f.type))
+        if kind is None or not f.init:
+            continue
+        value = getattr(cfg, f.name)
+        if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
+            raise ConfigError(
+                f"{type(cfg).__name__}.{f.name} must be a finite {f.type}, got {value!r}")

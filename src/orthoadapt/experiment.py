@@ -18,11 +18,19 @@ import numpy as np
 
 from .analysis import effective_rank
 from .data import Dataset, SyntheticSpec, gen_dataset
-from .errors import ConfigError, NumericalError, PretrainingFailure, ValidationError
+from .errors import (
+    ConfigError,
+    NumericalError,
+    PretrainingFailure,
+    ValidationError,
+    check_numeric_fields,
+)
 from .model import (
+    _REGIME_TO_KIND,
     REGIMES,
     BackboneConfig,
     ToyModel,
+    _softmax,
     adapt_model,
     cls_loss,
     cls_loss_grad,
@@ -32,8 +40,6 @@ from .model import (
 )
 from .adapters import RegularizerWeights
 from .seeding import derive_seed, substream
-
-_REGIME_TO_KIND = {"svd": "svd", "lora": "lora", "fft": "full", "linear_probe": "frozen"}
 
 
 @dataclass
@@ -48,6 +54,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_numeric_fields(self)
         if self.lr < 0:
             raise ConfigError("lr must be non-negative")
         if self.batch < 1:
@@ -68,6 +75,9 @@ class PretrainConfig:
     target_accuracy: float = 0.95
     min_accuracy: float = 0.6
     seed: int = 0
+
+    def __post_init__(self):
+        check_numeric_fields(self)
 
 
 @dataclass
@@ -181,9 +191,7 @@ def accuracy_at_half(probabilities, labels):
 
 def fake_probability(logits):
     """Softmax probability of the fake class (column 1)."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e[:, 1] / e.sum(axis=1)
+    return _softmax(logits)[:, 1]
 
 
 def evaluate(model: ToyModel, ds: Dataset):

@@ -29,9 +29,17 @@ from .adapters import (
     RegularizerWeights,
     SvdResidualAdapter,
     load_adapter,
+    read_manifest,
 )
 from .emx import read_emx, write_emx
-from .errors import ConfigError, FormatError, NumericalError, StateError, ValidationError
+from .errors import (
+    ConfigError,
+    FormatError,
+    NumericalError,
+    StateError,
+    ValidationError,
+    check_numeric_fields,
+)
 from .linalg import check_matrix
 from .seeding import substream
 
@@ -50,6 +58,7 @@ class BackboneConfig:
     rank: int = 1
 
     def __post_init__(self):
+        check_numeric_fields(self)
         if self.kind not in BLOCK_LAYERS:
             raise ConfigError(f"unknown backbone kind {self.kind!r}")
         if self.dim < 4:
@@ -342,11 +351,11 @@ def save_model(model: ToyModel, directory, extra=None):
 def load_model(directory):
     """Restore a checkpoint written by ``save_model``."""
     d = Path(directory)
-    manifest_path = d / "manifest.json"
-    if not manifest_path.exists():
-        raise FormatError(f"{d}: missing checkpoint manifest")
-    manifest = json.loads(manifest_path.read_text())
-    cfg = BackboneConfig(**manifest["backbone"])
+    manifest = read_manifest(d, "checkpoint")
+    try:
+        cfg = BackboneConfig(**manifest.get("backbone"))
+    except (TypeError, ConfigError) as exc:
+        raise FormatError(f"{d}: bad backbone in checkpoint manifest: {exc}") from exc
     blocks = []
     for b in range(cfg.depth):
         block = {}

@@ -79,8 +79,9 @@ def test_criterion_03_function_preservation():
             ad = SvdResidualAdapter(w, residual_rank)
             rec = np.linalg.norm(ad.effective_weight() - w) / np.linalg.norm(w)
             worst_rec = max(worst_rec, rec)
-            worst_orth = max(worst_orth, ad.orth_loss())
-            worst_sv = max(worst_sv, ad.sv_loss())
+            orth, sv, _ = ad.reg_terms(1.0, 1.0)
+            worst_orth = max(worst_orth, orth)
+            worst_sv = max(worst_sv, sv)
     ok = worst_rec <= 1e-8 and worst_orth <= 1e-10 and worst_sv <= 1e-10
     report_line(3, ok, f"init preservation: recon {worst_rec:.2e}, "
                        f"orth {worst_orth:.2e}, energy {worst_sv:.2e}")

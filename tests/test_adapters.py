@@ -30,12 +30,47 @@ def make_identity_split(n, residual_rank):
     )
 
 
+def stacked_orth(ad):
+    """The orthogonality loss from its definition, in O(n^3): the squared
+    Frobenius deviation of the stacked factors [U_r, U] and [V_r, V] from
+    orthonormality, with its gradient wrt the residual factors."""
+    loss, grads = 0.0, {}
+    for key, frozen, f in (("u", ad.split.u_r, ad.u), ("v", ad.split.v_r, ad.v)):
+        stacked = np.concatenate([frozen, f], axis=1)
+        c = stacked.T @ stacked - np.eye(stacked.shape[1])
+        loss += np.sum(c * c)
+        grads[key] = 4.0 * (stacked @ c)[:, frozen.shape[1]:]
+    return float(loss), grads
+
+
+def energy_drift(ad):
+    """|  ||W_eff||_F^2 - ||W_init||_F^2 |, the spectral-energy drift."""
+    return abs(frobenius_sq(ad.effective_weight()) - ad.frozen_frob_sq)
+
+
+def perturbed_split(n, k, rng, frozen_noise=0.0):
+    """Split of a random known-factor matrix; frozen_noise > 0 leaves the
+    frozen factors slightly off orthonormal."""
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = np.geomspace(10.0, 0.1, n)
+    r = n - k
+    u_r = u[:, :r] + frozen_noise * rng.standard_normal((n, r))
+    v_r = v[:, :r] + frozen_noise * rng.standard_normal((n, r))
+    return SubspaceSplit(
+        r=r, u_r=u_r, s_r=s[:r].copy(), v_r=v_r,
+        u_nr=u[:, r:].copy(), s_nr=s[r:].copy(), v_nr=v[:, r:].copy(),
+        frozen_frob_sq=float(s @ s),
+    )
+
+
 class TestInit:
     def test_identity_matrix(self):
         ad = SvdResidualAdapter(np.eye(4), 1)
         np.testing.assert_allclose(ad.effective_weight(), np.eye(4), atol=1e-12)
-        assert ad.orth_loss() <= 1e-10
-        assert ad.sv_loss() <= 1e-10
+        orth, sv, _ = ad.reg_terms(1.0, 1.0)
+        assert orth <= 1e-10
+        assert sv <= 1e-10
 
     def test_random_reconstruction(self):
         w = np.random.default_rng(0).standard_normal((16, 16))
@@ -122,7 +157,7 @@ class TestOrthLoss:
         v_hat = np.concatenate([ad.split.v_r, ad.v], axis=1)
         direct = (np.sum((u_hat.T @ u_hat - np.eye(4)) ** 2)
                   + np.sum((v_hat.T @ v_hat - np.eye(4)) ** 2))
-        assert abs(ad.orth_loss() - direct) <= 1e-12 * max(direct, 1.0)
+        assert abs(ad.reg_terms(1.0, 0.0)[0] - direct) <= 1e-12 * max(direct, 1.0)
         # the scaled column contributes (|2u|^2 - 1)^2 = 9 on the diagonal
         assert direct >= 9.0
 
@@ -132,7 +167,7 @@ class TestOrthLoss:
         rng = np.random.default_rng(11)
         ad.u += 0.05 * rng.standard_normal(ad.u.shape)
         ad.v += 0.05 * rng.standard_normal(ad.v.shape)
-        grads = ad.orth_loss_grads()
+        _, _, grads = ad.reg_terms(1.0, 0.0)
         h = 1e-5
         for name, arr in (("u", ad.u), ("v", ad.v)):
             g = grads[name]
@@ -141,12 +176,30 @@ class TestOrthLoss:
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + h
-                up = ad.orth_loss()
+                up = stacked_orth(ad)[0]
                 arr[idx] = orig - h
-                down = ad.orth_loss()
+                down = stacked_orth(ad)[0]
                 arr[idx] = orig
                 fd = (up - down) / (2 * h)
                 assert abs(fd - g[idx]) <= 1e-5 * max(abs(fd), abs(g[idx]), 1e-3)
+
+    @pytest.mark.parametrize("n,k,frozen_noise", [
+        (6, 2, 0.0), (16, 4, 0.0), (64, 4, 0.0), (256, 1, 0.0),
+        # slightly non-orthonormal u_r/v_r: the frozen block
+        # ||U_r^T U_r - I||^2 of the loss is then far above the tolerance
+        (16, 4, 1e-3),
+    ])
+    def test_matches_stacked_oracle(self, n, k, frozen_noise):
+        rng = np.random.default_rng(n + k)
+        ad = SvdResidualAdapter.from_split(n, perturbed_split(n, k, rng, frozen_noise))
+        ad.u += 0.05 * rng.standard_normal(ad.u.shape)
+        ad.v += 0.05 * rng.standard_normal(ad.v.shape)
+        orth, _, grads = ad.reg_terms(0.7, 0.0)
+        expect, expect_grads = stacked_orth(ad)
+        assert abs(orth - expect) <= 1e-12 * max(expect, 1.0)
+        for key in ("u", "v"):
+            np.testing.assert_allclose(grads[key], 0.7 * expect_grads[key],
+                                       rtol=0, atol=1e-12 * np.abs(expect_grads[key]).max())
 
 
 class TestSvLoss:
@@ -157,7 +210,7 @@ class TestSvLoss:
         ad = SvdResidualAdapter(w, 3)
         tail = float(np.sum(ad.split.s_nr ** 2))
         ad.s *= np.sqrt(2.0)
-        assert abs(ad.sv_loss() - tail) <= 1e-8 * max(tail, 1.0)
+        assert abs(ad.reg_terms(0.0, 1.0)[1] - tail) <= 1e-8 * max(tail, 1.0)
 
     def test_gradient_finite_differences(self):
         w = np.random.default_rng(13).standard_normal((6, 6))
@@ -165,7 +218,7 @@ class TestSvLoss:
         rng = np.random.default_rng(14)
         for arr in ad.trainable().values():
             arr += 0.05 * rng.standard_normal(arr.shape)
-        grads = ad.sv_loss_grads()
+        _, _, grads = ad.reg_terms(0.0, 1.0)
         h = 1e-5
         for name, arr in ad.trainable().items():
             g = grads[name]
@@ -174,9 +227,9 @@ class TestSvLoss:
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + h
-                up = ad.sv_loss()
+                up = energy_drift(ad)
                 arr[idx] = orig - h
-                down = ad.sv_loss()
+                down = energy_drift(ad)
                 arr[idx] = orig
                 fd = (up - down) / (2 * h)
                 assert abs(fd - g[idx]) <= 1e-5 * max(abs(fd), abs(g[idx]), 1e-3)
@@ -190,7 +243,7 @@ class TestSvLoss:
             arr += 0.05 * rng.standard_normal(arr.shape)
 
         def total():
-            return 0.4 * ad.orth_loss() + 0.6 * ad.sv_loss()
+            return 0.4 * stacked_orth(ad)[0] + 0.6 * energy_drift(ad)
 
         _, _, grads = ad.reg_terms(0.4, 0.6)
         h = 1e-5
@@ -213,10 +266,10 @@ class TestSvLoss:
         ad = SvdResidualAdapter(w, 2)
         ad.u += 0.03
         orth, sv, grads = ad.reg_terms(0.7, 0.9)
-        assert abs(orth - ad.orth_loss()) <= 1e-12 * max(orth, 1.0)
-        assert abs(sv - ad.sv_loss()) <= 1e-12 * max(sv, 1.0)
-        og = ad.orth_loss_grads()
-        sg = ad.sv_loss_grads()
+        expect_orth, og = stacked_orth(ad)
+        assert abs(orth - expect_orth) <= 1e-12 * max(orth, 1.0)
+        assert abs(sv - energy_drift(ad)) <= 1e-12 * max(sv, 1.0)
+        _, _, sg = ad.reg_terms(0.0, 1.0)
         for key in ("u", "s", "v"):
             expect = 0.7 * og.get(key, 0.0) + 0.9 * sg[key]
             np.testing.assert_allclose(grads[key], expect, atol=1e-12)

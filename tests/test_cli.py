@@ -109,6 +109,35 @@ class TestFinetune:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["trainable_params"] == 16 * 2 + 2
 
+    @pytest.mark.parametrize("field,value", [("iters", "5"), ("lr", float("nan"))])
+    def test_mistyped_config_value(self, tmp_path, capsys, field, value):
+        cfg = json.loads(json.dumps(TINY_CONFIG))
+        cfg["train"][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        rc = main(["finetune", "--config", str(bad), "--checkpoint", str(tmp_path / "nope"),
+                   "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"TrainConfig.{field}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("damage", [
+        lambda ck, manifest: (ck / "adapters" / "block0.q" / "w.emx").unlink(),
+        lambda ck, manifest: manifest.pop("backbone"),
+        lambda ck, manifest: manifest.update(backbone="attention"),
+        lambda ck, manifest: manifest.update(backbone={"kind": "attention", "dim": "16"}),
+    ], ids=["emx_deleted", "no_backbone", "backbone_not_object", "backbone_mistyped"])
+    def test_damaged_checkpoint(self, tmp_path, config_path, checkpoint, capsys, damage):
+        manifest = json.loads((checkpoint / "manifest.json").read_text())
+        damage(checkpoint, manifest)
+        (checkpoint / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        rc = main(["finetune", "--config", str(config_path), "--checkpoint", str(checkpoint),
+                   "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert str(checkpoint) in err and "Traceback" not in err
+
 
 class TestSweep:
     def test_sweep_and_determinism(self, tmp_path, config_path, checkpoint):
