@@ -337,25 +337,6 @@ def _load_kind(d, manifest):
     raise FormatError(f"{d}: unknown adapter kind {kind!r}")
 
 
-def forward(adapter, x):
-    """Apply the adapted layer: x @ W_eff^T."""
-    xa = check_matrix(x, "input")
-    if xa.shape[1] != adapter.n:
-        raise ValidationError(f"input has {xa.shape[1]} columns, adapter expects {adapter.n}")
-    return xa @ adapter.effective_weight().T
-
-
-def backward(adapter, x, upstream):
-    """Gradients of sum(forward(adapter, x) * upstream) wrt trainable tensors."""
-    xa = check_matrix(x, "input")
-    up = check_matrix(upstream, "upstream")
-    if xa.shape[1] != adapter.n or up.shape != (xa.shape[0], adapter.n):
-        raise ValidationError(
-            f"backward shapes {xa.shape} / {up.shape} inconsistent with n={adapter.n}"
-        )
-    return adapter.weight_grad(up.T @ xa)
-
-
 def count_trainable(adapters, head_params=0):
     """Total trainable parameters across adapters plus a classifier head."""
     return int(sum(a.count_trainable() for a in adapters) + head_params)

@@ -95,6 +95,10 @@ def build_config(raw, seed_override=None):
     pre_cfg = PretrainConfig(**pre_kwargs)
     train_cfg = TrainConfig(**train_kwargs)
     sweep_cfg = raw.get("sweep", {})
+    for key, value in sweep_cfg.items():
+        if not isinstance(value, list) or not all(
+                isinstance(v, int) and not isinstance(v, bool) for v in value):
+            raise ConfigError(f"sweep.{key} must be a list of integers, got {value!r}")
     return spec, backbone, pre_cfg, train_cfg, sweep_cfg
 
 
@@ -241,19 +245,25 @@ def cmd_analyze(args):
     return 0
 
 
+def _read_json(path):
+    try:
+        return json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise FormatError(f"{path} is not readable JSON: {exc}") from exc
+
+
 def cmd_report(args):
     run = Path(args.run)
     summary = run / "summary.json"
     sweep = run / "sweep.csv"
     manifest = run / "manifest.json"
     if summary.exists():
-        payload = json.loads(summary.read_text())
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json.dumps(_read_json(summary), sort_keys=True, indent=2))
         if sweep.exists():
             print(sweep.read_text().rstrip())
         return 0
     if manifest.exists():
-        print(json.dumps(json.loads(manifest.read_text()), sort_keys=True, indent=2))
+        print(json.dumps(_read_json(manifest), sort_keys=True, indent=2))
         return 0
     raise ConfigError(f"no summary.json or manifest.json under {run}")
 

@@ -9,7 +9,7 @@ so held-out methods overlap with - but do not equal - the training ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -241,7 +241,3 @@ def gen_dataset(spec: SyntheticSpec, split, seq_len=1):
             method_ids[g] = method.id
     return Dataset(x=x, y=y, seq_len=seq_len, split=split, sources=sources, method_ids=method_ids)
 
-
-def spec_with_seed(spec: SyntheticSpec, seed):
-    """Same generator parameters, fresh world seed (clusters, methods, draws)."""
-    return replace(spec, seed=seed, fake_methods=None)

@@ -1,23 +1,18 @@
 """Deterministic dense linear algebra.
 
-One-sided Jacobi SVD, principal/residual subspace splits, Frobenius norms,
-and a cyclic Jacobi eigensolver for PCA spectra. Everything here is a pure
-function of its inputs with a fixed iteration order and a fixed sign
-convention, so identical input bytes give identical output bytes.
+LAPACK SVD and symmetric eigendecomposition with a fixed sign convention,
+principal/residual subspace splits, Frobenius norms and PCA spectra.
+Everything here is a pure function of its inputs, so identical input bytes
+give identical output bytes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-
-# Relative off-diagonal tolerance driving Jacobi sweeps to convergence.
-_JACOBI_TOL = 1e-14
-_MAX_SWEEPS = 64
 
 
 def check_matrix(a, name="matrix"):
@@ -59,93 +54,25 @@ class SubspaceSplit:
 def _fix_signs(u, v):
     # Largest-|entry| of each u column made non-negative (first index wins
     # ties); the matching v column flips too so the product is unchanged.
-    for j in range(u.shape[1]):
-        i = int(np.argmax(np.abs(u[:, j])))
-        if u[i, j] < 0:
-            u[:, j] = -u[:, j]
-            v[:, j] = -v[:, j]
-
-
-def _complete_orthonormal(u, start):
-    # Replace columns start.. (numerically zero after Jacobi) with a
-    # deterministic orthonormal completion built from canonical basis vectors.
-    rows = u.shape[0]
-    j = start
-    for k in range(rows):
-        if j >= u.shape[1]:
-            break
-        cand = np.zeros(rows)
-        cand[k] = 1.0
-        cand -= u[:, :j] @ (u[:, :j].T @ cand)
-        norm = math.sqrt(float(cand @ cand))
-        if norm > 1e-8:
-            u[:, j] = cand / norm
-            j += 1
-    if j < u.shape[1]:
-        raise NumericalError("orthonormal completion failed")
+    cols = np.arange(u.shape[1])
+    flip = u[np.argmax(np.abs(u), axis=0), cols] < 0
+    u[:, flip] = -u[:, flip]
+    v[:, flip] = -v[:, flip]
 
 
 def svd(m, label="matrix") -> SvdFactors:
-    """One-sided Jacobi SVD with a fixed cyclic sweep order.
+    """Thin LAPACK SVD with k = min(rows, cols) factors.
 
-    Returns thin factors with k = min(rows, cols); for square input the
-    factors are full. Singular values are sorted descending (stable in the
-    original column order on ties) and factor signs follow the convention in
-    ``_fix_signs``.
+    For square input the factors are full. Singular values are descending,
+    zero singular values keep orthonormal factor columns, and factor signs
+    follow the convention in ``_fix_signs``.
     """
     a = check_matrix(m, label)
-    rows, cols = a.shape
-    if rows < cols:
-        f = svd(a.T, label)
-        return SvdFactors(u=f.v, s=f.s, v=f.u)
-
-    work = a.copy()
-    v = np.eye(cols)
-    converged = False
-    for _ in range(_MAX_SWEEPS):
-        worst = 0.0
-        for i in range(cols - 1):
-            for j in range(i + 1, cols):
-                ci = work[:, i]
-                cj = work[:, j]
-                aii = float(ci @ ci)
-                ajj = float(cj @ cj)
-                aij = float(ci @ cj)
-                denom = math.sqrt(aii * ajj)
-                if denom == 0.0 or abs(aij) <= _JACOBI_TOL * denom:
-                    continue
-                worst = max(worst, abs(aij) / denom)
-                theta = 0.5 * math.atan2(2.0 * aij, aii - ajj)
-                c = math.cos(theta)
-                s = math.sin(theta)
-                rot = np.array([[c, -s], [s, c]])
-                work[:, [i, j]] = work[:, [i, j]] @ rot
-                v[:, [i, j]] = v[:, [i, j]] @ rot
-        if worst <= _JACOBI_TOL:
-            converged = True
-            break
-    if not converged:
-        raise NumericalError(
-            f"SVD of {label} ({rows}x{cols}) did not converge in {_MAX_SWEEPS} sweeps"
-        )
-
-    norms = np.sqrt(np.sum(work * work, axis=0))
-    order = np.argsort(-norms, kind="stable")
-    work = work[:, order]
-    v = v[:, order]
-    s = norms[order]
-
-    u = np.zeros_like(work)
-    cutoff = max(rows, cols) * np.finfo(np.float64).eps * (s[0] if s[0] > 0 else 1.0)
-    nonzero = 0
-    for j in range(cols):
-        if s[j] > cutoff:
-            u[:, j] = work[:, j] / s[j]
-            nonzero = j + 1
-        else:
-            s[j] = 0.0
-    if nonzero < cols:
-        _complete_orthonormal(u, nonzero)
+    try:
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD of {label} {a.shape} failed: {exc}") from exc
+    v = vt.T
     _fix_signs(u, v)
     return SvdFactors(u=u, s=s, v=v)
 
@@ -185,46 +112,21 @@ def frobenius_sq(m) -> float:
 
 
 def sym_eig(a, label="matrix"):
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
+    """LAPACK eigendecomposition of the symmetric part of a square matrix.
 
     Returns (w, q) with eigenvalues w sorted descending and orthonormal
     eigenvector columns q, sign-fixed like SVD factors.
     """
     m = check_matrix(a, label)
-    n, n2 = m.shape
-    if n != n2:
+    if m.shape[0] != m.shape[1]:
         raise ValidationError(f"{label} must be square, got {m.shape}")
-    work = 0.5 * (m + m.T)
-    scale = float(np.max(np.abs(work))) or 1.0
-    q = np.eye(n)
-    converged = False
-    for _ in range(_MAX_SWEEPS):
-        worst = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                aij = work[i, j]
-                if abs(aij) <= _JACOBI_TOL * scale:
-                    continue
-                worst = max(worst, abs(aij) / scale)
-                theta = 0.5 * math.atan2(2.0 * aij, work[i, i] - work[j, j])
-                c = math.cos(theta)
-                s = math.sin(theta)
-                rot = np.array([[c, -s], [s, c]])
-                work[:, [i, j]] = work[:, [i, j]] @ rot
-                work[[i, j], :] = rot.T @ work[[i, j], :]
-                work[i, j] = work[j, i] = 0.0
-                q[:, [i, j]] = q[:, [i, j]] @ rot
-        if worst <= _JACOBI_TOL:
-            converged = True
-            break
-    if not converged:
-        raise NumericalError(f"eigendecomposition of {label} did not converge")
-    w = np.diag(work).copy()
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    q = q[:, order]
-    dummy = q.copy()
-    _fix_signs(q, dummy)
+    try:
+        w, q = np.linalg.eigh(0.5 * (m + m.T))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition of {label} failed: {exc}") from exc
+    w = w[::-1].copy()
+    q = q[:, ::-1].copy()
+    _fix_signs(q, q.copy())  # no partner factor: the copy is discarded
     return w, q
 
 

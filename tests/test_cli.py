@@ -1,10 +1,15 @@
 """CLI subcommands, exit codes, and artifact determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import orthoadapt
 from orthoadapt.cli import main
 from orthoadapt.emx import read_emx, write_emx
 
@@ -151,6 +156,51 @@ class TestSweep:
         rows = (a / "sweep.csv").read_text().splitlines()
         assert len(rows) == 1 + 2 + 2  # header, two svd ranks, fft + linear_probe
 
+    @pytest.mark.parametrize("field,value", [
+        ("residual_ranks", ["a"]), ("seeds", 0), ("lora_ranks", [True]),
+    ])
+    def test_malformed_sweep_section(self, tmp_path, capsys, field, value):
+        cfg = json.loads(json.dumps(TINY_CONFIG))
+        cfg["sweep"][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        rc = main(["sweep", "--config", str(bad), "--checkpoint", str(tmp_path / "nope"),
+                   "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"sweep.{field}" in err and "Traceback" not in err
+
+
+# Runs pretrain, finetune --regime svd and sweep in a fresh interpreter, so
+# that OPENBLAS_NUM_THREADS is read before NumPy loads.
+_PIPELINE = """
+import sys
+from orthoadapt.cli import main
+cfg, out = sys.argv[1], sys.argv[2]
+for argv in (["pretrain", "--config", cfg, "--out", out + "/pre"],
+             ["finetune", "--config", cfg, "--checkpoint", out + "/pre",
+              "--out", out + "/ft", "--regime", "svd"],
+             ["sweep", "--config", cfg, "--checkpoint", out + "/pre", "--out", out + "/sweep"]):
+    if main(argv) != 0:
+        sys.exit(1)
+"""
+
+
+def test_artifacts_identical_across_blas_threads(tmp_path, config_path):
+    package_root = str(Path(orthoadapt.__file__).resolve().parents[1])
+    trees = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [package_root,
+                                                            os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _PIPELINE, str(config_path), str(out)],
+                             env=env, capture_output=True, text=True, timeout=600)
+        assert run.returncode == 0, run.stderr
+        trees.append(tree_bytes(out))
+    assert {"ft/trace.csv", "ft/summary.json", "sweep/sweep.csv"} <= set(trees[0])
+    assert trees[0] == trees[1]
+
 
 class TestSvdSplitAnalyze:
     def test_split_then_reconstruct(self, tmp_path):
@@ -207,3 +257,10 @@ class TestReport:
 
     def test_missing_run(self, tmp_path):
         assert main(["report", str(tmp_path / "void")]) == 1
+
+    @pytest.mark.parametrize("name", ["summary.json", "manifest.json"])
+    def test_damaged_json(self, tmp_path, capsys, name):
+        (tmp_path / name).write_text('{"cells": ')
+        assert main(["report", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from orthoadapt.data import FakeMethod, SyntheticSpec, gen_dataset, spec_with_seed
+from orthoadapt.data import FakeMethod, SyntheticSpec, gen_dataset
 from orthoadapt.errors import ConfigError, ValidationError
 from orthoadapt.experiment import roc_auc
 
@@ -132,10 +132,3 @@ class TestSpecValidation:
     def test_dimension_too_small_for_methods(self):
         with pytest.raises(ConfigError):
             SyntheticSpec(dim=8, clusters=4, num_methods=4)
-
-    def test_spec_with_seed(self):
-        a = small_spec(seed=0)
-        b = spec_with_seed(a, 1)
-        assert b.seed == 1
-        assert a.cluster_means.tobytes() != b.cluster_means.tobytes()
-        assert b.dim == a.dim

@@ -1,9 +1,12 @@
-"""Jacobi SVD, subspace splits, and PCA spectra against independent oracles."""
+"""SVD, eigendecomposition, subspace splits, and PCA spectra against
+independent oracles and properties."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orthoadapt.errors import ValidationError
+from orthoadapt.errors import NumericalError, ValidationError
 from orthoadapt.linalg import (
     PcaSpectrum,
     check_matrix,
@@ -18,6 +21,53 @@ from orthoadapt.linalg import (
 
 def rel_err(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+def orthonormal(rng, n, k):
+    q, _ = np.linalg.qr(rng.standard_normal((n, k)))
+    return q
+
+
+def assert_sign_convention(u):
+    # the largest-|entry| of every column (first index on ties) is non-negative
+    for j in range(u.shape[1]):
+        assert u[np.argmax(np.abs(u[:, j])), j] >= 0
+
+
+# Generated matrices: dense Gaussian, low-rank products (rank 0 included) and
+# Q diag(s) P^T with repeated singular values. Derandomized, so the examples
+# are the same on every run.
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+matrix_cases = st.tuples(
+    st.sampled_from(["dense", "low_rank", "repeated"]),
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def build_matrix(kind, rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    k = min(rows, cols)
+    if kind == "dense":
+        return rng.standard_normal((rows, cols))
+    if kind == "low_rank":
+        r = int(rng.integers(0, k))
+        return rng.standard_normal((rows, r)) @ rng.standard_normal((r, cols))
+    s = np.sort(rng.choice([0.0, 0.5, 1.0, 3.0], size=k))[::-1]
+    return (orthonormal(rng, rows, k) * s) @ orthonormal(rng, cols, k).T
+
+
+def build_symmetric(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        a = rng.standard_normal((n, n))
+        return a + a.T
+    if kind == "low_rank":
+        b = rng.standard_normal((n, int(rng.integers(0, n))))
+        return b @ b.T
+    q = orthonormal(rng, n, n)
+    return (q * rng.choice([-2.0, 0.0, 1.0, 1.0], size=n)) @ q.T
 
 
 class TestSvd:
@@ -66,11 +116,7 @@ class TestSvd:
         assert rel_err((f.u * f.s) @ f.v.T, m) <= 1e-10
 
     def test_sign_convention(self):
-        # largest-|entry| of every left factor column is non-negative
-        m = np.random.default_rng(6).standard_normal((10, 10))
-        f = svd(m)
-        for j in range(10):
-            assert f.u[np.argmax(np.abs(f.u[:, j])), j] >= 0
+        assert_sign_convention(svd(np.random.default_rng(6).standard_normal((10, 10))).u)
 
     def test_determinism(self):
         m = np.random.default_rng(7).standard_normal((12, 12))
@@ -90,6 +136,32 @@ class TestSvd:
             check_matrix(np.zeros(3))
         with pytest.raises(ValidationError):
             check_matrix(np.zeros((0, 3)))
+
+    def test_lapack_failure_is_numerical_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericalError):
+            svd(np.eye(3))
+        with pytest.raises(NumericalError):
+            sym_eig(np.eye(3))
+
+    @PROPERTY_SETTINGS
+    @given(matrix_cases)
+    def test_properties(self, case):
+        kind, rows, cols, seed = case
+        m = build_matrix(kind, rows, cols, seed)
+        f = svd(m)
+        k = min(rows, cols)
+        assert f.u.shape == (rows, k) and f.s.shape == (k,) and f.v.shape == (cols, k)
+        assert rel_err((f.u * f.s) @ f.v.T, m) <= 1e-10
+        assert np.linalg.norm(f.u.T @ f.u - np.eye(k)) <= 1e-8
+        assert np.linalg.norm(f.v.T @ f.v - np.eye(k)) <= 1e-8
+        assert np.all(f.s >= 0.0)
+        assert np.all(np.diff(f.s) <= 0.0)
+        assert_sign_convention(f.u)
 
 
 class TestSplit:
@@ -164,6 +236,23 @@ class TestSymEig:
         np.testing.assert_allclose(w, np.linalg.eigh(a)[0][::-1], atol=1e-10)
         np.testing.assert_allclose((q * w) @ q.T, a, atol=1e-10)
         assert np.linalg.norm(q.T @ q - np.eye(12)) <= 1e-8
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValidationError):
+            sym_eig(np.zeros((2, 3)))
+
+    @PROPERTY_SETTINGS
+    @given(matrix_cases)
+    def test_properties(self, case):
+        kind, n, _, seed = case
+        a = build_symmetric(kind, n, seed)
+        w, q = sym_eig(a)
+        scale = max(np.linalg.norm(a), 1.0)
+        np.testing.assert_allclose(w, np.linalg.eigvalsh(a)[::-1], rtol=0, atol=1e-12 * scale)
+        assert np.linalg.norm((q * w) @ q.T - a) <= 1e-10 * scale
+        assert np.linalg.norm(q.T @ q - np.eye(n)) <= 1e-8
+        assert np.all(np.diff(w) <= 0.0)
+        assert_sign_convention(q)
 
 
 class TestPcaSpectrum:
