@@ -68,6 +68,7 @@ class SvdResidualAdapter:
         self.frozen_frob_sq = sp.frozen_frob_sq
         self._w_principal = reconstruct(sp, "principal")
         self._frozen_orth = None  # ||U_r^T U_r - I||^2 + ||V_r^T V_r - I||^2, set by reg_terms
+        self._eye = np.eye(self.u.shape[1])
 
     @classmethod
     def from_split(cls, n, sp, reg=None):
@@ -96,7 +97,7 @@ class SvdResidualAdapter:
             "v": m.T @ (self.u * self.s),
         }
 
-    def reg_terms(self, lambda1, lambda2):
+    def reg_terms(self, lambda1, lambda2, w_eff=None):
         """(orth, sv, gradients of lambda1 * orth + lambda2 * sv).
 
         orth is ||Û^T Û - I||^2 + ||V̂^T V̂ - I||^2 for the stacked factors
@@ -105,7 +106,9 @@ class SvdResidualAdapter:
         O(n r k) and no n x n array: the first block depends on the frozen
         factors alone and is computed once, on the first call with
         lambda1 > 0. sv is the spectral-energy drift
-        | ||W_eff||_F^2 - ||W_init||_F^2 |.
+        | ||W_eff||_F^2 - ||W_init||_F^2 |. ``w_eff`` is the current
+        ``effective_weight()`` if the caller already has it; without it the
+        weight is recomputed.
         """
         grads = {}
         orth = 0.0
@@ -118,13 +121,14 @@ class SvdResidualAdapter:
             orth = self._frozen_orth
             for key, frozen, f in (("u", sp.u_r, self.u), ("v", sp.v_r, self.v)):
                 cross = frozen.T @ f
-                gram = f.T @ f - np.eye(f.shape[1])
-                orth += 2.0 * np.sum(cross * cross) + np.sum(gram * gram)
+                gram = f.T @ f - self._eye
+                orth += 2.0 * (cross * cross).sum() + (gram * gram).sum()
                 grads[key] = 4.0 * lambda1 * (frozen @ cross + f @ gram)
             orth = float(orth)
         if lambda2 > 0:
-            w_eff = self.effective_weight()
-            drift = float(np.sum(w_eff * w_eff)) - self.frozen_frob_sq
+            if w_eff is None:
+                w_eff = self.effective_weight()
+            drift = float((w_eff * w_eff).sum()) - self.frozen_frob_sq
             sv = abs(drift)
             sign = 0.0 if drift == 0.0 else (1.0 if drift > 0 else -1.0)
             for key, g in self.weight_grad(2.0 * sign * lambda2 * w_eff).items():

@@ -92,6 +92,8 @@ def build_config(raw, seed_override=None):
         train_kwargs["seed"] = derive_seed(seed_override, "finetune")
     spec = SyntheticSpec(**spec_kwargs)
     backbone = BackboneConfig(**raw.get("backbone", {}))
+    if backbone.dim != spec.dim:
+        raise ConfigError(f"backbone.dim {backbone.dim} does not match spec.dim {spec.dim}")
     pre_cfg = PretrainConfig(**pre_kwargs)
     train_cfg = TrainConfig(**train_kwargs)
     sweep_cfg = raw.get("sweep", {})
@@ -99,6 +101,10 @@ def build_config(raw, seed_override=None):
         if not isinstance(value, list) or not all(
                 isinstance(v, int) and not isinstance(v, bool) for v in value):
             raise ConfigError(f"sweep.{key} must be a list of integers, got {value!r}")
+        if key != "seeds" and any(v < 1 for v in value):
+            raise ConfigError(f"sweep.{key} entries must be >= 1, got {value!r}")
+    if sweep_cfg.get("seeds") == []:
+        raise ConfigError("sweep.seeds must not be empty")
     return spec, backbone, pre_cfg, train_cfg, sweep_cfg
 
 

@@ -151,6 +151,44 @@ def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8, t=1):
     return params, state
 
 
+def _views(buffer, like):
+    """Name -> view into ``buffer``, one per array of ``like``, back to back."""
+    views = {}
+    offset = 0
+    for name, a in like.items():
+        views[name] = buffer[offset:offset + a.size].reshape(a.shape)
+        offset += a.size
+    return views
+
+
+class _FlatParams:
+    """Every trainable tensor of a model as a view into one float64 buffer.
+
+    The model's tensors are rebound to the views, so a training step gathers
+    its gradients into the matching buffer and updates all of them with one
+    elementwise ``adam_step``, which gives the same bits as one call per
+    tensor.
+    """
+
+    def __init__(self, model: ToyModel):
+        params = model.trainable()
+        self.flat = np.concatenate([p.ravel() for p in params.values()])
+        self.grad = np.zeros_like(self.flat)
+        model.bind_trainable(_views(self.flat, params))
+        self._grads = _views(self.grad, params)
+        self._state = {}
+
+    def step(self, grads, lr, t):
+        """One Adam update from ``grads`` (name -> array; missing = zero)."""
+        for name, view in self._grads.items():
+            view[...] = grads.get(name, 0.0)
+        try:
+            adam_step({"params": self.flat}, {"params": self.grad}, self._state, lr, t=t)
+        except NumericalError:
+            bad = next(n for n, g in self._grads.items() if not np.isfinite(g).all())
+            raise NumericalError(f"non-finite gradient for {bad}") from None
+
+
 def roc_auc(scores, labels):
     """P(score of a random positive > score of a random negative), ties at 1/2.
 
@@ -210,16 +248,19 @@ def _sample_batch(rng, ds: Dataset, batch):
     return ds.x[ds.group_rows(idx)], ds.y[idx]
 
 
-def _regularizers(model, lambda1, lambda2):
+def _regularizers(model, lambda1, lambda2, weights=None):
     """(orth_mean, sv_mean, per-parameter gradient dict) with the 1/m
-    averaging over the adapted matrices. Only meaningful for svd adapters."""
+    averaging over the adapted matrices. Only meaningful for svd adapters.
+    ``weights`` maps adapter names to their current effective weights;
+    without it each adapter recomputes its own."""
     adapters = model.adapters()
     m = len(adapters)
     orth_mean = 0.0
     sv_mean = 0.0
     grads = {}
     for name, adapter in adapters:
-        orth, sv, g = adapter.reg_terms(lambda1 / m, lambda2 / m)
+        w_eff = None if weights is None else weights[name]
+        orth, sv, g = adapter.reg_terms(lambda1 / m, lambda2 / m, w_eff=w_eff)
         orth_mean += orth / m
         sv_mean += sv / m
         for key, arr in g.items():
@@ -233,8 +274,10 @@ def train(model: ToyModel, dataset: Dataset, cfg: TrainConfig,
 
     ``eval_sets`` maps names to binary datasets scored with AUC/accuracy after
     training; ``rank_set`` supplies features for the effective-rank probe
-    before and after. Divergence aborts with the partial report and an error
-    flag instead of raising.
+    before and after. Divergence (a non-finite loss, or a NumericalError from
+    non-finite activations or gradients) ends the run with the partial report
+    and an error flag instead of raising; after it, a final metric that cannot
+    be computed from the diverged weights is left out.
     """
     expected_kind = _REGIME_TO_KIND[cfg.regime]
     kinds = {a.kind for _, a in model.adapters()}
@@ -248,43 +291,51 @@ def train(model: ToyModel, dataset: Dataset, cfg: TrainConfig,
         _, feats, _ = evaluate(model, rank_set)
         report.rank_before = effective_rank(feats, rank_threshold).effective_rank
 
-    params = model.trainable()
-    state = {}
+    params = _FlatParams(model)
     rng = substream(cfg.seed, "batches")
     is_svd = cfg.regime == "svd"
 
     for t in range(1, cfg.iters + 1):
         x, y = _sample_batch(rng, dataset, cfg.batch)
-        logits, _ = model_forward(model, x, train=True)
-        loss, real, fake = cls_loss(logits, y)
-        if is_svd:
-            orth_mean, sv_mean, reg_grads = _regularizers(model, cfg.lambda1, cfg.lambda2)
-        else:
-            orth_mean, sv_mean, reg_grads = 0.0, 0.0, {}
-        total = loss + cfg.lambda1 * orth_mean + cfg.lambda2 * sv_mean
+        try:
+            logits, _ = model_forward(model, x, train=True)
+            loss, real, fake = cls_loss(logits, y)
+            if is_svd:
+                orth_mean, sv_mean, reg_grads = _regularizers(
+                    model, cfg.lambda1, cfg.lambda2, model._cache["weights"])
+            else:
+                orth_mean, sv_mean, reg_grads = 0.0, 0.0, {}
+            total = loss + cfg.lambda1 * orth_mean + cfg.lambda2 * sv_mean
 
-        report.iters.append(t - 1)
-        report.total_loss.append(total)
-        report.real_loss.append(real)
-        report.fake_loss.append(fake)
-        report.orth_loss.append(orth_mean)
-        report.sv_loss.append(sv_mean)
+            report.iters.append(t - 1)
+            report.total_loss.append(total)
+            report.real_loss.append(real)
+            report.fake_loss.append(fake)
+            report.orth_loss.append(orth_mean)
+            report.sv_loss.append(sv_mean)
 
-        if not np.isfinite(total):
-            report.error = f"diverged at iteration {t - 1}"
+            if not np.isfinite(total):
+                report.error = f"diverged at iteration {t - 1}"
+                break
+
+            grads = model_backward(model, cls_loss_grad(logits, y))
+            for key, g in reg_grads.items():
+                grads[key] = grads.get(key, 0.0) + g
+            params.step(grads, cfg.lr, t)
+        except NumericalError as exc:
+            report.error = f"diverged at iteration {t - 1}: {exc}"
             break
 
-        grads = model_backward(model, cls_loss_grad(logits, y))
-        for key, g in reg_grads.items():
-            grads[key] = grads.get(key, 0.0) + g
-        adam_step(params, grads, state, cfg.lr, t=t)
-
-    if eval_sets:
-        for name, ds in eval_sets.items():
-            report.final_metrics[name] = binary_metrics(model, ds)
-    if rank_set is not None:
-        _, feats, _ = evaluate(model, rank_set)
-        report.rank_after = effective_rank(feats, rank_threshold).effective_rank
+    try:
+        if eval_sets:
+            for name, ds in eval_sets.items():
+                report.final_metrics[name] = binary_metrics(model, ds)
+        if rank_set is not None:
+            _, feats, _ = evaluate(model, rank_set)
+            report.rank_after = effective_rank(feats, rank_threshold).effective_rank
+    except (NumericalError, ValidationError):
+        if report.error is None:
+            raise
     return report
 
 
@@ -322,8 +373,7 @@ def pretrain(backbone: BackboneConfig, spec: SyntheticSpec, cfg: PretrainConfig 
     bb = replace(backbone, adapter_kind="full")
     train_ds, eval_ds = semantic_shards(spec, bb.seq_len)
     model = init_model(bb, cfg.seed, head_dim=spec.clusters)
-    params = model.trainable()
-    state = {}
+    params = _FlatParams(model)
     rng = substream(cfg.seed, "pretrain-batches")
     losses = []
     acc_trace = []
@@ -334,8 +384,7 @@ def pretrain(backbone: BackboneConfig, spec: SyntheticSpec, cfg: PretrainConfig 
         logits, _ = model_forward(model, x, train=True)
         loss, _, _ = cls_loss(logits, y)
         losses.append(loss)
-        grads = model_backward(model, cls_loss_grad(logits, y))
-        adam_step(params, grads, state, cfg.lr, t=t)
+        params.step(model_backward(model, cls_loss_grad(logits, y)), cfg.lr, t)
         iterations = t
         if t % cfg.eval_every == 0:
             accuracy = semantic_accuracy(model, eval_ds)
@@ -389,16 +438,18 @@ def rank_sweep(pretrained: ToyModel, spec: SyntheticSpec, base_cfg: TrainConfig,
     for regime, rank in cells:
         for s in seeds:
             cell_seed = derive_seed(base_cfg.seed, regime, rank, s)
-            cfg = replace(base_cfg, regime=regime, rank=max(rank, 1), seed=cell_seed)
-            row = {"regime": regime, "rank": rank if regime in ("svd", "lora") else "",
-                   "seed": s}
+            ranked = regime in ("svd", "lora")
+            cfg = replace(base_cfg, regime=regime, rank=rank if ranked else 1, seed=cell_seed)
+            row = {"regime": regime, "rank": rank if ranked else "", "seed": s}
             try:
                 _, report = finetune_run(pretrained, spec, cfg)
+                metrics = report.final_metrics
                 row.update({
-                    "auc_seen": report.final_metrics["seen"]["auc"],
-                    "auc_unseen": report.final_metrics["unseen"]["auc"],
-                    "acc_seen": report.final_metrics["seen"]["accuracy"],
-                    "acc_unseen": report.final_metrics["unseen"]["accuracy"],
+                    f"{short}_{split}": metrics.get(split, {}).get(key, "")
+                    for split in ("seen", "unseen")
+                    for short, key in (("auc", "auc"), ("acc", "accuracy"))
+                })
+                row.update({
                     "rank_before": report.rank_before,
                     "rank_after": report.rank_after,
                     "trainable_params": report.trainable_params,

@@ -9,8 +9,8 @@ Two block types:
   over the sequence before the classification head.
 
 The head (dim -> classes, with bias) is always trainable. Forward in training
-mode caches activations; ``model_backward`` replays them for exact
-reverse-mode gradients.
+mode caches activations and each adapter's effective weight;
+``model_backward`` replays them for exact reverse-mode gradients.
 """
 
 from __future__ import annotations
@@ -111,6 +111,16 @@ class ToyModel:
         params["head.b"] = self.head_b
         return params
 
+    def bind_trainable(self, arrays):
+        """Replace every trainable tensor by the array of the same name in
+        ``arrays`` (the names of ``trainable()``). Adapters keep each trainable
+        tensor in the attribute named by its key."""
+        for name, adapter in self.adapters():
+            for key in adapter.trainable():
+                setattr(adapter, key, arrays[f"{name}.{key}"])
+        self.head_w = arrays["head.w"]
+        self.head_b = arrays["head.b"]
+
     def count_trainable(self):
         total = self.head_w.size + self.head_b.size
         return int(total + sum(a.count_trainable() for _, a in self.adapters()))
@@ -196,12 +206,12 @@ def model_forward(model: ToyModel, x, train=False):
     if xa.shape[0] % L != 0:
         raise ValidationError(f"batch {xa.shape[0]} not divisible by seq_len {L}")
 
-    cache = {"x": xa, "blocks": []} if train else None
+    weights = {name: adapter.effective_weight() for name, adapter in model.adapters()}
+    cache = {"x": xa, "blocks": [], "weights": weights} if train else None
     if model.cfg.kind == "mlp":
         h = xa
-        for b, block in enumerate(model.blocks):
-            w = block["w"].effective_weight()
-            z = h @ w.T
+        for b in range(len(model.blocks)):
+            z = h @ weights[f"block{b}.w"].T
             h_new = np.tanh(z)
             if not np.isfinite(h_new).all():
                 raise NumericalError(f"non-finite activations in block {b}")
@@ -213,11 +223,8 @@ def model_forward(model: ToyModel, x, train=False):
         groups = xa.shape[0] // L
         h = xa.reshape(groups, L, n)
         inv_sqrt = 1.0 / math.sqrt(n)
-        for b, block in enumerate(model.blocks):
-            wq = block["q"].effective_weight()
-            wk = block["k"].effective_weight()
-            wv = block["v"].effective_weight()
-            wo = block["out"].effective_weight()
+        for b in range(len(model.blocks)):
+            wq, wk, wv, wo = (weights[f"block{b}.{layer}"] for layer in ("q", "k", "v", "out"))
             q = h @ wq.T
             k = h @ wk.T
             v = h @ wv.T
@@ -274,7 +281,8 @@ def cls_loss_grad(logits, labels):
 
 def model_backward(model: ToyModel, dlogits):
     """Exact gradients of a loss with upstream dlogits, for every trainable
-    tensor (adapter factors and head). Requires a cached training forward."""
+    tensor (adapter factors and head). Requires a cached training forward,
+    whose effective weights it reuses."""
     cache = model._cache
     if cache is None:
         raise StateError("model_backward called without a cached forward pass")
@@ -283,6 +291,7 @@ def model_backward(model: ToyModel, dlogits):
     if dlog.shape != (features.shape[0], model.head_dim):
         raise ValidationError(f"dlogits shape {dlog.shape} does not match forward")
 
+    weights = cache["weights"]
     grads = {"head.w": dlog.T @ features, "head.b": dlog.sum(axis=0)}
     dfeat = dlog @ model.head_w
     n = model.dim
@@ -295,7 +304,7 @@ def model_backward(model: ToyModel, dlogits):
             adapter = model.blocks[b]["w"]
             dz = dh * (1.0 - blk["h_out"] ** 2)
             _accumulate(grads, f"block{b}.w", adapter, dz.T @ blk["h_in"])
-            dh = dz @ adapter.effective_weight()
+            dh = dz @ weights[f"block{b}.w"]
     else:
         groups = features.shape[0]
         inv_sqrt = 1.0 / math.sqrt(n)
@@ -305,7 +314,7 @@ def model_backward(model: ToyModel, dlogits):
             block = model.blocks[b]
             h_in, q, k, v, p, ctx = (blk[key] for key in ("h_in", "q", "k", "v", "p", "ctx"))
             d_out = dh  # residual add: gradient flows to both terms
-            dctx = d_out @ block["out"].effective_weight()
+            dctx = d_out @ weights[f"block{b}.out"]
             _accumulate(grads, f"block{b}.out", block["out"], _flat_weight_grad(d_out, ctx))
             dp = np.einsum("gid,gjd->gij", dctx, v)
             dv = np.einsum("gij,gid->gjd", p, dctx)
@@ -317,9 +326,9 @@ def model_backward(model: ToyModel, dlogits):
             _accumulate(grads, f"block{b}.v", block["v"], _flat_weight_grad(dv, h_in))
             dh = (
                 dh
-                + dq @ block["q"].effective_weight()
-                + dk @ block["k"].effective_weight()
-                + dv @ block["v"].effective_weight()
+                + dq @ weights[f"block{b}.q"]
+                + dk @ weights[f"block{b}.k"]
+                + dv @ weights[f"block{b}.v"]
             )
     return grads
 

@@ -126,6 +126,27 @@ class TestFinetune:
         assert rc == 1
         assert f"TrainConfig.{field}" in err and "Traceback" not in err
 
+    def test_divergence_leaves_partial_report(self, tmp_path, checkpoint, capsys):
+        # lr 1e200 overflows the attention activations on the second step:
+        # model_forward raises NumericalError inside train()'s loop
+        cfg = json.loads(json.dumps(TINY_CONFIG))
+        cfg["train"]["lr"] = 1e200
+        path = tmp_path / "diverge.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "div"
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            rc = main(["finetune", "--config", str(path), "--checkpoint", str(checkpoint),
+                       "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "non-finite activations" in err and "Traceback" not in err
+        summary = json.loads((out / "summary.json").read_text())
+        assert "non-finite activations" in summary["error"]
+        trace = (out / "trace.csv").read_text().splitlines()
+        assert len(trace) == 1 + summary["iterations"]
+        assert summary["iterations"] < cfg["train"]["iters"]
+
     @pytest.mark.parametrize("damage", [
         lambda ck, manifest: (ck / "adapters" / "block0.q" / "w.emx").unlink(),
         lambda ck, manifest: manifest.pop("backbone"),
@@ -156,8 +177,12 @@ class TestSweep:
         rows = (a / "sweep.csv").read_text().splitlines()
         assert len(rows) == 1 + 2 + 2  # header, two svd ranks, fft + linear_probe
 
+    # a rank below 1 would train rank-1 adapters under a wrong label, and no
+    # seeds would write an empty table
     @pytest.mark.parametrize("field,value", [
         ("residual_ranks", ["a"]), ("seeds", 0), ("lora_ranks", [True]),
+        ("residual_ranks", [0]), ("residual_ranks", [2, -1]), ("lora_ranks", [-1]),
+        ("seeds", []),
     ])
     def test_malformed_sweep_section(self, tmp_path, capsys, field, value):
         cfg = json.loads(json.dumps(TINY_CONFIG))
@@ -169,6 +194,21 @@ class TestSweep:
         err = capsys.readouterr().err
         assert rc == 1
         assert f"sweep.{field}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "sweep"])
+def test_rejects_backbone_spec_dim_mismatch(tmp_path, capsys, command):
+    cfg = json.loads(json.dumps(TINY_CONFIG))
+    cfg["backbone"]["dim"] = 12
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    argv = [command, "--config", str(bad), "--out", str(tmp_path / "x")]
+    if command != "pretrain":
+        argv += ["--checkpoint", str(tmp_path / "nope")]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "backbone.dim 12 does not match spec.dim 16" in err and "Traceback" not in err
 
 
 # Runs pretrain, finetune --regime svd and sweep in a fresh interpreter, so

@@ -10,6 +10,7 @@ from orthoadapt.data import SyntheticSpec, gen_dataset
 from orthoadapt.errors import NumericalError, PretrainingFailure, ValidationError
 from orthoadapt.experiment import (
     PretrainConfig,
+    _FlatParams,
     TrainConfig,
     accuracy_at_half,
     adam_step,
@@ -187,6 +188,33 @@ class TestTrain:
         assert report.error is not None
         assert len(report.iters) < 300
 
+    def test_flat_step_names_non_finite_gradient(self):
+        # one NaN gradient entry: the flat Adam step rejects it before any
+        # update, and the error names the tensor
+        spec, model, ds = tiny_world()
+        params = _FlatParams(model)
+        before = params.flat.copy()
+        grads = {name: np.zeros_like(p) for name, p in model.trainable().items()}
+        grads["block0.w.v"][1, 0] = np.nan
+        with pytest.raises(NumericalError, match="non-finite gradient for block0.w.v"):
+            params.step(grads, 0.1, 1)
+        assert params.flat.tobytes() == before.tobytes()
+
+    def test_numerical_error_in_loop_ends_run(self):
+        # an attention block overflows on the second step under lr 1e200
+        spec = SyntheticSpec(dim=16, clusters=4, samples_per_split=128, seed=0)
+        bb = BackboneConfig(kind="attention", dim=16, depth=1, seq_len=4)
+        model = adapt_model(init_model(bb, 0), "fft", 1, seed=0)
+        ds = gen_dataset(spec, "finetune_train", 4)
+        eval_sets = {"seen": gen_dataset(spec, "finetune_test_seen", 4)}
+        with np.errstate(all="ignore"):
+            report = train(model, ds, TrainConfig(iters=20, lr=1e200, regime="fft", seed=0),
+                           eval_sets=eval_sets, rank_set=semantic_shards(spec, 4)[1])
+        assert report.error.startswith("diverged at iteration 1: non-finite activations")
+        assert report.iters == [0]
+        assert report.rank_before is not None and report.rank_after is None
+        assert report.final_metrics == {}
+
     def test_determinism(self):
         spec, m1, ds = tiny_world()
         _, m2, _ = tiny_world()
@@ -260,6 +288,15 @@ class TestSweep:
         base_rows = [r for r in rows if r["regime"] in ("fft", "linear_probe")]
         assert len(svd_rows) == 15
         assert len(base_rows) == 10
+
+    def test_rank_below_one_is_a_cell_error(self):
+        spec, model = self.make_pretrained()
+        cfg = TrainConfig(iters=2, seed=0)
+        rows = rank_sweep(model, spec, cfg, residual_ranks=[0], lora_ranks=[-1], seeds=[0])
+        assert [(r["regime"], r["rank"]) for r in rows[:2]] == [("svd", 0), ("lora", -1)]
+        assert "out of range" in rows[0]["error"] and "out of range" in rows[1]["error"]
+        assert rows[0]["trainable_params"] == rows[1]["trainable_params"] == ""
+        assert rows[2]["error"] == rows[3]["error"] == ""
 
     def test_trainable_counts_monotone(self):
         spec, model = self.make_pretrained()
