@@ -9,12 +9,17 @@ weight into per-tensor gradients, and ``count_trainable()``.
 * LoraAdapter - frozen base weight plus a trainable low-rank product.
 * FullAdapter - the raw weight, fully trainable.
 * FrozenAdapter - the raw weight, fixed.
+
+An adapter holds the tensors of one n x n matrix. ``stack_adapters`` builds an
+adapter of the same kind whose tensors hold m matrices along a leading axis,
+and makes each member's tensors views into those stacks. The methods above
+are written for both cases, so one call of each serves all m matrices.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +42,45 @@ class RegularizerWeights:
             raise ValidationError("regularizer weights must be non-negative")
 
 
-class SvdResidualAdapter:
+def _t(a):
+    """The transpose of a matrix, or of each matrix of a stack."""
+    return np.swapaxes(a, -1, -2)
+
+
+def _sum_sq(a):
+    """Sum of squared entries of a matrix, or of each matrix of a stack."""
+    return (a * a).sum(axis=(-2, -1))
+
+
+def _stack(arrays, what):
+    try:
+        return np.stack(arrays)
+    except ValueError as exc:
+        raise ValidationError(f"cannot stack the adapters' {what} tensors: {exc}") from None
+
+
+class _Adapter:
+    """What every kind shares. ``_TENSORS`` names the attributes that hold
+    arrays; ``stack_adapters`` gives them a leading axis of m."""
+
+    _TENSORS = ()
+
+    def _stack_rest(self, adapters):
+        """Stack what is not in ``_TENSORS``."""
+
+    def bind(self, arrays):
+        """Set the stacked tensors named in ``arrays`` and make each member's
+        tensor of that name its view into them."""
+        for key, arr in arrays.items():
+            setattr(self, key, arr)
+            for a, view in zip(self.members, arr):
+                setattr(a, key, view)
+
+    def count_trainable(self):
+        return sum(p.size for p in self.trainable().values())
+
+
+class SvdResidualAdapter(_Adapter):
     """Frozen principal subspace + trainable residual SVD factors.
 
     The weight is kept as W_r + U diag(s) V^T where W_r collects the top
@@ -47,6 +90,8 @@ class SvdResidualAdapter:
     """
 
     kind = "svd"
+    _TENSORS = ("u", "s", "v", "_w_principal")
+    _SPLIT = ("u_r", "s_r", "v_r", "u_nr", "s_nr", "v_nr")
 
     def __init__(self, w, residual_rank, reg=None, label="weight"):
         a = check_matrix(w, label)
@@ -70,6 +115,15 @@ class SvdResidualAdapter:
         self._frozen_orth = None  # ||U_r^T U_r - I||^2 + ||V_r^T V_r - I||^2, set by reg_terms
         self._eye = np.eye(self.u.shape[1])
 
+    def _stack_rest(self, adapters):
+        stacks = {f: _stack([getattr(a.split, f) for a in adapters], f) for f in self._SPLIT}
+        for i, a in enumerate(adapters):
+            a.split = replace(a.split, **{f: arr[i] for f, arr in stacks.items()})
+        self.frozen_frob_sq = np.array([a.frozen_frob_sq for a in adapters])
+        self.split = replace(adapters[0].split, frozen_frob_sq=self.frozen_frob_sq, **stacks)
+        self._frozen_orth = None
+        self._eye = adapters[0]._eye
+
     @classmethod
     def from_split(cls, n, sp, reg=None):
         """Restore an adapter from stored factors without re-running the SVD."""
@@ -82,19 +136,16 @@ class SvdResidualAdapter:
         return self.n - self.split.r
 
     def effective_weight(self):
-        return self._w_principal + (self.u * self.s) @ self.v.T
+        return self._w_principal + (self.u * self.s[..., None, :]) @ _t(self.v)
 
     def trainable(self):
         return {"u": self.u, "s": self.s, "v": self.v}
 
-    def count_trainable(self):
-        return self.u.size + self.s.size + self.v.size
-
     def weight_grad(self, m):
         return {
-            "u": m @ (self.v * self.s),
-            "s": np.einsum("ik,ik->k", self.u, m @ self.v),
-            "v": m.T @ (self.u * self.s),
+            "u": m @ (self.v * self.s[..., None, :]),
+            "s": np.einsum("...ik,...ik->...k", self.u, m @ self.v),
+            "v": _t(m) @ (self.u * self.s[..., None, :]),
         }
 
     def reg_terms(self, lambda1, lambda2, w_eff=None):
@@ -108,31 +159,33 @@ class SvdResidualAdapter:
         lambda1 > 0. sv is the spectral-energy drift
         | ||W_eff||_F^2 - ||W_init||_F^2 |. ``w_eff`` is the current
         ``effective_weight()`` if the caller already has it; without it the
-        weight is recomputed.
+        weight is recomputed. For a stack, orth and sv are arrays with one
+        entry per matrix; for one adapter they are floats.
         """
         grads = {}
-        orth = 0.0
-        sv = 0.0
+        orth = sv = np.zeros(self.s.shape[:-1])
         if lambda1 > 0:
             sp = self.split
             if self._frozen_orth is None:
-                grams = (f.T @ f - np.eye(sp.r) for f in (sp.u_r, sp.v_r))
-                self._frozen_orth = sum(np.sum(g * g) for g in grams)
+                eye = np.eye(sp.r)
+                self._frozen_orth = (_sum_sq(_t(sp.u_r) @ sp.u_r - eye)
+                                     + _sum_sq(_t(sp.v_r) @ sp.v_r - eye))
             orth = self._frozen_orth
             for key, frozen, f in (("u", sp.u_r, self.u), ("v", sp.v_r, self.v)):
-                cross = frozen.T @ f
-                gram = f.T @ f - self._eye
-                orth += 2.0 * (cross * cross).sum() + (gram * gram).sum()
+                cross = _t(frozen) @ f
+                gram = _t(f) @ f - self._eye
+                orth = orth + (2.0 * _sum_sq(cross) + _sum_sq(gram))
                 grads[key] = 4.0 * lambda1 * (frozen @ cross + f @ gram)
-            orth = float(orth)
         if lambda2 > 0:
             if w_eff is None:
                 w_eff = self.effective_weight()
-            drift = float((w_eff * w_eff).sum()) - self.frozen_frob_sq
-            sv = abs(drift)
-            sign = 0.0 if drift == 0.0 else (1.0 if drift > 0 else -1.0)
-            for key, g in self.weight_grad(2.0 * sign * lambda2 * w_eff).items():
+            drift = _sum_sq(w_eff) - self.frozen_frob_sq
+            sv = np.abs(drift)
+            scale = (2.0 * np.sign(drift) * lambda2)[..., None, None]
+            for key, g in self.weight_grad(scale * w_eff).items():
                 grads[key] = grads.get(key, 0.0) + g
+        if np.ndim(orth) == 0:
+            return float(orth), float(sv), grads
         return orth, sv, grads
 
     def save(self, directory):
@@ -157,10 +210,11 @@ class SvdResidualAdapter:
         _write_manifest(d, manifest)
 
 
-class LoraAdapter:
+class LoraAdapter(_Adapter):
     """Frozen base weight plus scale * b @ a with a Gaussian, b zero at init."""
 
     kind = "lora"
+    _TENSORS = ("w0", "a", "b")
 
     def __init__(self, w, rank, rng, scale=1.0, init_std=0.02):
         a = check_matrix(w, "weight")
@@ -175,6 +229,9 @@ class LoraAdapter:
         self.b = np.zeros((n, rank))
         self.scale = float(scale)
 
+    def _stack_rest(self, adapters):
+        self.scale = np.array([a.scale for a in adapters])[:, None, None]
+
     @classmethod
     def from_parts(cls, w0, a, b, scale):
         self = cls.__new__(cls)
@@ -187,7 +244,7 @@ class LoraAdapter:
 
     @property
     def rank(self):
-        return self.a.shape[0]
+        return self.a.shape[-2]
 
     def effective_weight(self):
         return self.w0 + self.scale * (self.b @ self.a)
@@ -195,11 +252,8 @@ class LoraAdapter:
     def trainable(self):
         return {"a": self.a, "b": self.b}
 
-    def count_trainable(self):
-        return self.a.size + self.b.size
-
     def weight_grad(self, m):
-        return {"a": self.scale * (self.b.T @ m), "b": self.scale * (m @ self.a.T)}
+        return {"a": self.scale * (_t(self.b) @ m), "b": self.scale * (m @ _t(self.a))}
 
     def save(self, directory):
         d = Path(directory)
@@ -210,10 +264,11 @@ class LoraAdapter:
         _write_manifest(d, {"kind": self.kind, "n": self.n, "r": self.rank, "scale": self.scale})
 
 
-class FullAdapter:
+class FullAdapter(_Adapter):
     """Plain trainable weight matrix."""
 
     kind = "full"
+    _TENSORS = ("w",)
 
     def __init__(self, w):
         a = check_matrix(w, "weight")
@@ -228,9 +283,6 @@ class FullAdapter:
     def trainable(self):
         return {"w": self.w}
 
-    def count_trainable(self):
-        return self.w.size
-
     def weight_grad(self, m):
         return {"w": m}
 
@@ -241,10 +293,11 @@ class FullAdapter:
         _write_manifest(d, {"kind": self.kind, "n": self.n, "r": 0})
 
 
-class FrozenAdapter:
+class FrozenAdapter(_Adapter):
     """Fixed weight matrix; nothing trains."""
 
     kind = "frozen"
+    _TENSORS = ("w",)
 
     def __init__(self, w):
         a = check_matrix(w, "weight")
@@ -259,9 +312,6 @@ class FrozenAdapter:
     def trainable(self):
         return {}
 
-    def count_trainable(self):
-        return 0
-
     def weight_grad(self, m):
         return {}
 
@@ -270,6 +320,24 @@ class FrozenAdapter:
         d.mkdir(parents=True, exist_ok=True)
         write_emx(d / "w.emx", self.w)
         _write_manifest(d, {"kind": self.kind, "n": self.n, "r": 0})
+
+
+def stack_adapters(adapters):
+    """One adapter of the kind of ``adapters`` whose tensors stack theirs
+    along a leading axis; each member's tensors become views into the stacks,
+    so no second copy is kept. ValidationError unless all share one kind and
+    one set of tensor shapes."""
+    kinds = {type(a) for a in adapters}
+    if len(kinds) != 1:
+        raise ValidationError(
+            f"adapters to stack must share one kind, got {sorted(k.kind for k in kinds)}")
+    cls = kinds.pop()
+    st = cls.__new__(cls)
+    st.n = adapters[0].n
+    st.members = list(adapters)
+    st.bind({key: _stack([getattr(a, key) for a in adapters], key) for key in cls._TENSORS})
+    st._stack_rest(adapters)
+    return st
 
 
 def _write_manifest(directory, payload):
@@ -298,19 +366,38 @@ def load_adapter(directory):
     manifest = read_manifest(d, "adapter")
     try:
         return _load_kind(d, manifest)
+    except ValidationError:
+        raise
     except KeyError as exc:
         raise FormatError(f"{d}: adapter manifest has no field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{d}: bad adapter manifest field: {exc}") from None
+
+
+def _read(d, name, shape):
+    """The EMX file ``name`` in ``d``, which must hold ``shape`` values
+    (a vector is stored as one column)."""
+    a = read_emx(d / name)
+    want = shape if len(shape) == 2 else (shape[0], 1)
+    if a.shape != want:
+        raise FormatError(f"{d / name}: shape {a.shape}, expected {want}")
+    return a.reshape(shape)
 
 
 def _load_kind(d, manifest):
     kind = manifest.get("kind")
+    if kind not in ("svd", "lora", "full", "frozen"):
+        raise FormatError(f"{d}: unknown adapter kind {kind!r}")
+    n = int(manifest["n"])
     if kind == "svd":
-        n = int(manifest["n"])
         r = int(manifest["r"])
+        if not 0 <= r < n:
+            raise FormatError(f"{d}: frozen rank {r} out of range [0, {n})")
+        k = n - r
         if r > 0:
-            u_r = read_emx(d / "u_r.emx")
-            s_r = read_emx(d / "s_r.emx").reshape(-1)
-            v_r = read_emx(d / "v_r.emx")
+            u_r = _read(d, "u_r.emx", (n, r))
+            s_r = _read(d, "s_r.emx", (r,))
+            v_r = _read(d, "v_r.emx", (n, r))
         else:
             u_r = np.zeros((n, 0))
             s_r = np.zeros(0)
@@ -320,25 +407,23 @@ def _load_kind(d, manifest):
             u_r=u_r,
             s_r=s_r,
             v_r=v_r,
-            u_nr=read_emx(d / "u.emx"),
-            s_nr=read_emx(d / "s.emx").reshape(-1),
-            v_nr=read_emx(d / "v.emx"),
+            u_nr=_read(d, "u.emx", (n, k)),
+            s_nr=_read(d, "s.emx", (k,)),
+            v_nr=_read(d, "v.emx", (n, k)),
             frozen_frob_sq=float(manifest["frozen_frob_sq"]),
         )
         reg = RegularizerWeights(manifest["lambda1"], manifest["lambda2"])
         return SvdResidualAdapter.from_split(n, sp, reg)
     if kind == "lora":
+        r = int(manifest["r"])
         return LoraAdapter.from_parts(
-            read_emx(d / "w0.emx"),
-            read_emx(d / "a.emx"),
-            read_emx(d / "b.emx"),
+            _read(d, "w0.emx", (n, n)),
+            _read(d, "a.emx", (r, n)),
+            _read(d, "b.emx", (n, r)),
             manifest["scale"],
         )
-    if kind == "full":
-        return FullAdapter(read_emx(d / "w.emx"))
-    if kind == "frozen":
-        return FrozenAdapter(read_emx(d / "w.emx"))
-    raise FormatError(f"{d}: unknown adapter kind {kind!r}")
+    w = _read(d, "w.emx", (n, n))
+    return FullAdapter(w) if kind == "full" else FrozenAdapter(w)
 
 
 def count_trainable(adapters, head_params=0):

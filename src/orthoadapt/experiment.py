@@ -25,17 +25,18 @@ from .errors import (
     ValidationError,
     check_numeric_fields,
 )
+from .linalg import check_matrix
 from .model import (
     _REGIME_TO_KIND,
     REGIMES,
     BackboneConfig,
     ToyModel,
+    _backward,
+    _forward,
     _softmax,
     adapt_model,
-    cls_loss,
-    cls_loss_grad,
+    cls_loss_and_grad,
     init_model,
-    model_backward,
     model_forward,
 )
 from .adapters import RegularizerWeights
@@ -164,28 +165,35 @@ def _views(buffer, like):
 class _FlatParams:
     """Every trainable tensor of a model as a view into one float64 buffer.
 
-    The model's tensors are rebound to the views, so a training step gathers
-    its gradients into the matching buffer and updates all of them with one
-    elementwise ``adam_step``, which gives the same bits as one call per
-    tensor.
+    The buffer is laid out key by key of ``model.stacked_trainable()``, so each
+    adapter stack and each head tensor is one view, and the model is rebound
+    to those views. A training step writes its gradients into the matching
+    views of ``grad`` and updates all tensors with one elementwise
+    ``adam_step``, which gives the same bits as one call per tensor.
     """
 
     def __init__(self, model: ToyModel):
-        params = model.trainable()
+        params = model.stacked_trainable()
         self.flat = np.concatenate([p.ravel() for p in params.values()])
         self.grad = np.zeros_like(self.flat)
         model.bind_trainable(_views(self.flat, params))
-        self._grads = _views(self.grad, params)
+        self.grads = _views(self.grad, params)
+        self._named_grads = model.named(self.grads)
         self._state = {}
 
-    def step(self, grads, lr, t):
-        """One Adam update from ``grads`` (name -> array; missing = zero)."""
-        for name, view in self._grads.items():
-            view[...] = grads.get(name, 0.0)
+    def step(self, grads, lr, t, extra=None):
+        """One Adam update from ``grads`` plus ``extra``, both keyed like
+        ``model.stacked_trainable()``; a key missing from ``grads`` counts as
+        zero."""
+        extra = extra or {}
+        for key, view in self.grads.items():
+            view[...] = grads.get(key, 0.0)
+            if key in extra:
+                view += extra[key]
         try:
             adam_step({"params": self.flat}, {"params": self.grad}, self._state, lr, t=t)
         except NumericalError:
-            bad = next(n for n, g in self._grads.items() if not np.isfinite(g).all())
+            bad = next(n for n, g in self._named_grads.items() if not np.isfinite(g).all())
             raise NumericalError(f"non-finite gradient for {bad}") from None
 
 
@@ -202,16 +210,11 @@ def roc_auc(scores, labels):
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("roc_auc needs both classes present")
-    order = np.argsort(s, kind="stable")
-    ranks = np.empty(len(s))
-    sorted_s = s[order]
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * ((i + 1) + (j + 1))
-        i = j + 1
+    # tied scores share the mean of the 1-based positions start+1 .. end
+    _, inverse, counts = np.unique(s, return_inverse=True, return_counts=True, equal_nan=False)
+    end = np.cumsum(counts)
+    start = end - counts
+    ranks = (0.5 * ((start + 1) + end))[inverse]
     u = ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
@@ -245,27 +248,50 @@ def binary_metrics(model, ds):
 
 def _sample_batch(rng, ds: Dataset, batch):
     idx = rng.integers(0, ds.groups, size=batch)
-    return ds.x[ds.group_rows(idx)], ds.y[idx]
+    rows = idx if ds.seq_len == 1 else ds.group_rows(idx)
+    return ds.x[rows], ds.y[idx]
 
 
-def _regularizers(model, lambda1, lambda2, weights=None):
+def _check_dataset(model: ToyModel, ds: Dataset, label):
+    """Validate once what each training step would otherwise check per
+    batch: finite rows of the model's width, grouped by its seq_len, and one
+    label per group that indexes a head output."""
+    x = check_matrix(ds.x, f"{label} x")
+    if x.shape[1] != model.dim:
+        raise ValidationError(f"{label} has {x.shape[1]} columns, model expects {model.dim}")
+    if ds.seq_len != model.seq_len:
+        raise ValidationError(f"{label} seq_len {ds.seq_len} differs from the model's "
+                              f"{model.seq_len}")
+    y = np.asarray(ds.y)
+    if y.shape != (x.shape[0] // ds.seq_len,) or x.shape[0] % ds.seq_len or y.size == 0:
+        raise ValidationError(f"{label} needs one label per group of {ds.seq_len} rows")
+    if y.dtype.kind not in "iu" or y.min() < 0 or y.max() >= model.head_dim:
+        raise ValidationError(f"{label} labels out of range for {model.head_dim} head outputs")
+
+
+def _mean_over(values, m):
+    """sum of values[i] / m, accumulated left to right in Python floats."""
+    total = 0.0
+    for v in (values / m).tolist():
+        total += v
+    return total
+
+
+def _stack_regularizers(model, lambda1, lambda2, weights=None):
+    """``_regularizers`` with its gradients keyed like
+    ``model.stacked_trainable()``: one ``reg_terms`` call on the model's
+    stacked svd adapter serves all m matrices. ``weights`` is the stacked
+    effective weight if the caller has it."""
+    m = len(model.stack.members)
+    orth, sv, grads = model.stack.reg_terms(lambda1 / m, lambda2 / m, w_eff=weights)
+    return _mean_over(orth, m), _mean_over(sv, m), grads
+
+
+def _regularizers(model, lambda1, lambda2):
     """(orth_mean, sv_mean, per-parameter gradient dict) with the 1/m
-    averaging over the adapted matrices. Only meaningful for svd adapters.
-    ``weights`` maps adapter names to their current effective weights;
-    without it each adapter recomputes its own."""
-    adapters = model.adapters()
-    m = len(adapters)
-    orth_mean = 0.0
-    sv_mean = 0.0
-    grads = {}
-    for name, adapter in adapters:
-        w_eff = None if weights is None else weights[name]
-        orth, sv, g = adapter.reg_terms(lambda1 / m, lambda2 / m, w_eff=w_eff)
-        orth_mean += orth / m
-        sv_mean += sv / m
-        for key, arr in g.items():
-            grads[f"{name}.{key}"] = arr
-    return orth_mean, sv_mean, grads
+    averaging over the adapted matrices. Only meaningful for svd adapters."""
+    orth, sv, grads = _stack_regularizers(model, lambda1, lambda2)
+    return orth, sv, model.named(grads)
 
 
 def train(model: ToyModel, dataset: Dataset, cfg: TrainConfig,
@@ -277,7 +303,9 @@ def train(model: ToyModel, dataset: Dataset, cfg: TrainConfig,
     before and after. Divergence (a non-finite loss, or a NumericalError from
     non-finite activations or gradients) ends the run with the partial report
     and an error flag instead of raising; after it, a final metric that cannot
-    be computed from the diverged weights is left out.
+    be computed from the diverged weights is left out. A NumericalError in the
+    final metrics (features or their covariance not finite) also counts as
+    divergence.
     """
     expected_kind = _REGIME_TO_KIND[cfg.regime]
     kinds = {a.kind for _, a in model.adapters()}
@@ -291,6 +319,7 @@ def train(model: ToyModel, dataset: Dataset, cfg: TrainConfig,
         _, feats, _ = evaluate(model, rank_set)
         report.rank_before = effective_rank(feats, rank_threshold).effective_rank
 
+    _check_dataset(model, dataset, "training set")
     params = _FlatParams(model)
     rng = substream(cfg.seed, "batches")
     is_svd = cfg.regime == "svd"
@@ -298,10 +327,10 @@ def train(model: ToyModel, dataset: Dataset, cfg: TrainConfig,
     for t in range(1, cfg.iters + 1):
         x, y = _sample_batch(rng, dataset, cfg.batch)
         try:
-            logits, _ = model_forward(model, x, train=True)
-            loss, real, fake = cls_loss(logits, y)
+            logits, _ = _forward(model, x, train=True)
+            loss, real, fake, dlogits = cls_loss_and_grad(logits, y)
             if is_svd:
-                orth_mean, sv_mean, reg_grads = _regularizers(
+                orth_mean, sv_mean, reg_grads = _stack_regularizers(
                     model, cfg.lambda1, cfg.lambda2, model._cache["weights"])
             else:
                 orth_mean, sv_mean, reg_grads = 0.0, 0.0, {}
@@ -318,10 +347,7 @@ def train(model: ToyModel, dataset: Dataset, cfg: TrainConfig,
                 report.error = f"diverged at iteration {t - 1}"
                 break
 
-            grads = model_backward(model, cls_loss_grad(logits, y))
-            for key, g in reg_grads.items():
-                grads[key] = grads.get(key, 0.0) + g
-            params.step(grads, cfg.lr, t)
+            params.step(_backward(model, dlogits), cfg.lr, t, extra=reg_grads)
         except NumericalError as exc:
             report.error = f"diverged at iteration {t - 1}: {exc}"
             break
@@ -333,7 +359,10 @@ def train(model: ToyModel, dataset: Dataset, cfg: TrainConfig,
         if rank_set is not None:
             _, feats, _ = evaluate(model, rank_set)
             report.rank_after = effective_rank(feats, rank_threshold).effective_rank
-    except (NumericalError, ValidationError):
+    except NumericalError as exc:
+        if report.error is None:
+            report.error = f"diverged after training: {exc}"
+    except ValidationError:
         if report.error is None:
             raise
     return report
@@ -373,6 +402,7 @@ def pretrain(backbone: BackboneConfig, spec: SyntheticSpec, cfg: PretrainConfig 
     bb = replace(backbone, adapter_kind="full")
     train_ds, eval_ds = semantic_shards(spec, bb.seq_len)
     model = init_model(bb, cfg.seed, head_dim=spec.clusters)
+    _check_dataset(model, train_ds, "pretraining set")
     params = _FlatParams(model)
     rng = substream(cfg.seed, "pretrain-batches")
     losses = []
@@ -381,10 +411,10 @@ def pretrain(backbone: BackboneConfig, spec: SyntheticSpec, cfg: PretrainConfig 
     iterations = 0
     for t in range(1, cfg.max_iters + 1):
         x, y = _sample_batch(rng, train_ds, cfg.batch)
-        logits, _ = model_forward(model, x, train=True)
-        loss, _, _ = cls_loss(logits, y)
+        logits, _ = _forward(model, x, train=True)
+        loss, _, _, dlogits = cls_loss_and_grad(logits, y)
         losses.append(loss)
-        params.step(model_backward(model, cls_loss_grad(logits, y)), cfg.lr, t)
+        params.step(_backward(model, dlogits), cfg.lr, t)
         iterations = t
         if t % cfg.eval_every == 0:
             accuracy = semantic_accuracy(model, eval_ds)

@@ -138,15 +138,24 @@ class PcaSpectrum:
     zero_variance: bool
 
 
+def _covariance(x, what):
+    """Sample covariance (ddof=1) of finite rows; NumericalError if it
+    overflows, which finite but huge features (a diverged model's) do."""
+    samples = x.shape[0]
+    if samples < 2:
+        raise ValidationError(f"{what} needs at least 2 samples")
+    centered = x - x.mean(axis=0)
+    cov = centered.T @ centered / (samples - 1)
+    if not np.isfinite(cov).all():
+        raise NumericalError("covariance of the features is not finite")
+    return cov
+
+
 def pca_spectrum(features) -> PcaSpectrum:
     """Explained-variance ratios of the sample covariance (ddof=1)."""
     x = check_matrix(features, "features")
-    samples, dims = x.shape
-    if samples < 2:
-        raise ValidationError("pca_spectrum needs at least 2 samples")
-    centered = x - x.mean(axis=0)
-    cov = centered.T @ centered / (samples - 1)
-    w, _ = sym_eig(cov, "covariance")
+    dims = x.shape[1]
+    w, _ = sym_eig(_covariance(x, "pca_spectrum"), "covariance")
     w = np.clip(w, 0.0, None)
     total = float(w.sum())
     if total <= 0.0:
@@ -157,12 +166,8 @@ def pca_spectrum(features) -> PcaSpectrum:
 def pca_directions(features, k):
     """Top-k principal directions (columns) and eigenvalues of the covariance."""
     x = check_matrix(features, "features")
-    samples, dims = x.shape
-    if samples < 2:
-        raise ValidationError("pca_directions needs at least 2 samples")
+    dims = x.shape[1]
     if not 1 <= k <= dims:
         raise ValidationError(f"k={k} out of range [1, {dims}]")
-    centered = x - x.mean(axis=0)
-    cov = centered.T @ centered / (samples - 1)
-    w, q = sym_eig(cov, "covariance")
+    w, q = sym_eig(_covariance(x, "pca_directions"), "covariance")
     return np.clip(w[:k], 0.0, None), q[:, :k]

@@ -8,9 +8,11 @@ Two block types:
   Four adapted matrices (q, k, v, out) per block; features are mean-pooled
   over the sequence before the classification head.
 
-The head (dim -> classes, with bias) is always trainable. Forward in training
-mode caches activations and each adapter's effective weight;
-``model_backward`` replays them for exact reverse-mode gradients.
+The head (dim -> classes, with bias) is always trainable. A model keeps its m
+adapters stacked (``adapters.stack_adapters``), so a pass builds all m
+effective weights in one call and maps all m weight gradients in one call.
+Forward in training mode caches activations and the stacked effective
+weights; ``model_backward`` replays them for exact reverse-mode gradients.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .adapters import (
     SvdResidualAdapter,
     load_adapter,
     read_manifest,
+    stack_adapters,
 )
 from .emx import read_emx, write_emx
 from .errors import (
@@ -80,6 +83,9 @@ class ToyModel:
         self.head_w = head_w
         self.head_b = head_b
         self._cache = None
+        # one adapter over all m, in the order of adapters(); each block's
+        # adapter tensors are views into it
+        self.stack = stack_adapters([a for _, a in self.adapters()])
 
     @property
     def dim(self):
@@ -101,29 +107,40 @@ class ToyModel:
                 out.append((f"block{b}.{layer}", block[layer]))
         return out
 
+    def stacked_trainable(self):
+        """Key -> live array for every trainable tensor: the stacked adapter
+        tensors under their keys ("u", "a", "w", ...), then "head.w" and
+        "head.b"."""
+        return {**self.stack.trainable(), "head.w": self.head_w, "head.b": self.head_b}
+
+    def named(self, stacked):
+        """Name -> array ("block0.q.u", ..., "head.w", "head.b") for a dict
+        keyed like ``stacked_trainable()``; adapter entries are views of the
+        stacks' rows."""
+        keys = [key for key in self.stack.trainable() if key in stacked]
+        out = {}
+        for i, (name, _) in enumerate(self.adapters()):
+            for key in keys:
+                out[f"{name}.{key}"] = stacked[key][i]
+        for key in ("head.w", "head.b"):
+            if key in stacked:
+                out[key] = stacked[key]
+        return out
+
     def trainable(self):
         """Name -> live array for every trainable tensor, head included."""
-        params = {}
-        for name, adapter in self.adapters():
-            for key, arr in adapter.trainable().items():
-                params[f"{name}.{key}"] = arr
-        params["head.w"] = self.head_w
-        params["head.b"] = self.head_b
-        return params
+        return self.named(self.stacked_trainable())
 
     def bind_trainable(self, arrays):
-        """Replace every trainable tensor by the array of the same name in
-        ``arrays`` (the names of ``trainable()``). Adapters keep each trainable
-        tensor in the attribute named by its key."""
-        for name, adapter in self.adapters():
-            for key in adapter.trainable():
-                setattr(adapter, key, arrays[f"{name}.{key}"])
+        """Replace every trainable tensor by the array of the same key in
+        ``arrays`` (the keys of ``stacked_trainable()``); each adapter's
+        tensors become views of the new stacks."""
+        self.stack.bind({key: arrays[key] for key in self.stack.trainable()})
         self.head_w = arrays["head.w"]
         self.head_b = arrays["head.b"]
 
     def count_trainable(self):
-        total = self.head_w.size + self.head_b.size
-        return int(total + sum(a.count_trainable() for _, a in self.adapters()))
+        return int(self.head_w.size + self.head_b.size + self.stack.count_trainable())
 
 
 DEFAULT_LORA_SCALE = 2.0
@@ -172,12 +189,13 @@ def adapt_model(pretrained: ToyModel, regime, rank, seed, reg=None, head_dim=2):
         adapter_kind=kind,
         rank=rank,
     )
+    weights = iter(pretrained.stack.effective_weight())
     blocks = []
-    for b, block in enumerate(pretrained.blocks):
+    for b in range(cfg.depth):
         new_block = {}
-        for layer, adapter in block.items():
-            w = adapter.effective_weight()
-            new_block[layer] = _make_adapter(kind, w, rank, substream(seed, "adapter", b, layer), reg)
+        for layer in BLOCK_LAYERS[cfg.kind]:
+            new_block[layer] = _make_adapter(kind, next(weights), rank,
+                                             substream(seed, "adapter", b, layer), reg)
         blocks.append(new_block)
     head_rng = substream(seed, "head")
     head_w = 0.02 * head_rng.standard_normal((head_dim, cfg.dim))
@@ -185,10 +203,17 @@ def adapt_model(pretrained: ToyModel, regime, rank, seed, reg=None, head_dim=2):
     return ToyModel(cfg, blocks, head_w, head_b)
 
 
-def _softmax(z):
+def _softmax_parts(z):
+    """(shifted, exp(shifted), row sums) along the last axis, the sums kept
+    as a column; softmax = exp(shifted) / sums."""
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return shifted, e, e.sum(axis=-1, keepdims=True)
+
+
+def _softmax(z):
+    _, e, sums = _softmax_parts(z)
+    return e / sums
 
 
 def model_forward(model: ToyModel, x, train=False):
@@ -205,13 +230,21 @@ def model_forward(model: ToyModel, x, train=False):
     L = model.seq_len
     if xa.shape[0] % L != 0:
         raise ValidationError(f"batch {xa.shape[0]} not divisible by seq_len {L}")
+    return _forward(model, xa, train)
 
-    weights = {name: adapter.effective_weight() for name, adapter in model.adapters()}
+
+def _forward(model: ToyModel, xa, train=False):
+    """``model_forward`` without its input checks, for a caller that has
+    validated its data already: a finite float64 matrix with ``model.dim``
+    columns and a multiple of ``seq_len`` rows."""
+    n = model.dim
+    L = model.seq_len
+    weights = model.stack.effective_weight()  # (m, n, n), in adapters() order
     cache = {"x": xa, "blocks": [], "weights": weights} if train else None
     if model.cfg.kind == "mlp":
         h = xa
         for b in range(len(model.blocks)):
-            z = h @ weights[f"block{b}.w"].T
+            z = h @ weights[b].T
             h_new = np.tanh(z)
             if not np.isfinite(h_new).all():
                 raise NumericalError(f"non-finite activations in block {b}")
@@ -224,7 +257,7 @@ def model_forward(model: ToyModel, x, train=False):
         h = xa.reshape(groups, L, n)
         inv_sqrt = 1.0 / math.sqrt(n)
         for b in range(len(model.blocks)):
-            wq, wk, wv, wo = (weights[f"block{b}.{layer}"] for layer in ("q", "k", "v", "out"))
+            wq, wk, wv, wo = weights[4 * b:4 * b + 4]
             q = h @ wq.T
             k = h @ wk.T
             v = h @ wv.T
@@ -247,6 +280,20 @@ def model_forward(model: ToyModel, x, train=False):
     return logits, features
 
 
+def _loss_half(shifted, sums, y):
+    per_sample = np.log(sums[:, 0]) - shifted[np.arange(shifted.shape[0]), y]
+    loss = float(per_sample.mean())
+    real = float(per_sample[y == 0].mean()) if (y == 0).any() else float("nan")
+    fake = float(per_sample[y == 1].mean()) if (y == 1).any() else float("nan")
+    return loss, real, fake
+
+
+def _grad_half(e, sums, y):
+    p = e / sums
+    p[np.arange(e.shape[0]), y] -= 1.0
+    return p / e.shape[0]
+
+
 def cls_loss(logits, labels):
     """Mean softmax cross-entropy plus per-class means for labels 0 and 1.
 
@@ -261,28 +308,39 @@ def cls_loss(logits, labels):
         raise ValidationError(f"labels shape {y.shape} does not match logits {z.shape}")
     if y.min() < 0 or y.max() >= z.shape[1]:
         raise ValidationError("labels out of range for logit columns")
-    shifted = z - z.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=1))
-    per_sample = logsumexp - shifted[np.arange(z.shape[0]), y]
-    loss = float(per_sample.mean())
-    real = float(per_sample[y == 0].mean()) if (y == 0).any() else float("nan")
-    fake = float(per_sample[y == 1].mean()) if (y == 1).any() else float("nan")
-    return loss, real, fake
+    shifted, _, sums = _softmax_parts(z)
+    return _loss_half(shifted, sums, y)
 
 
 def cls_loss_grad(logits, labels):
     """d(mean cross-entropy)/d(logits)."""
     z = check_matrix(logits, "logits")
+    _, e, sums = _softmax_parts(z)
+    return _grad_half(e, sums, np.asarray(labels))
+
+
+def cls_loss_and_grad(logits, labels):
+    """``cls_loss`` and ``cls_loss_grad`` from one softmax: (loss, real_loss,
+    fake_loss, dlogits), the same bits as the two calls. The inputs are not
+    checked: ``train`` and ``pretrain`` validate their dataset once, and
+    labels from it index logit columns that exist."""
     y = np.asarray(labels)
-    p = _softmax(z)
-    p[np.arange(z.shape[0]), y] -= 1.0
-    return p / z.shape[0]
+    shifted, e, sums = _softmax_parts(logits)
+    return (*_loss_half(shifted, sums, y), _grad_half(e, sums, y))
 
 
 def model_backward(model: ToyModel, dlogits):
     """Exact gradients of a loss with upstream dlogits, for every trainable
-    tensor (adapter factors and head). Requires a cached training forward,
-    whose effective weights it reuses."""
+    tensor (adapter factors and head), by name. Requires a cached training
+    forward, whose effective weights it reuses."""
+    return model.named(_backward(model, dlogits))
+
+
+def _backward(model: ToyModel, dlogits):
+    """``model_backward`` keyed like ``model.stacked_trainable()``: each
+    adapter gradient is one (m, ...) array. The weight gradients of all m
+    matrices are gathered layer by layer and mapped to the adapter tensors in
+    one ``weight_grad`` call."""
     cache = model._cache
     if cache is None:
         raise StateError("model_backward called without a cached forward pass")
@@ -292,7 +350,8 @@ def model_backward(model: ToyModel, dlogits):
         raise ValidationError(f"dlogits shape {dlog.shape} does not match forward")
 
     weights = cache["weights"]
-    grads = {"head.w": dlog.T @ features, "head.b": dlog.sum(axis=0)}
+    dw = np.empty_like(weights)
+    head = {"head.w": dlog.T @ features, "head.b": dlog.sum(axis=0)}
     dfeat = dlog @ model.head_w
     n = model.dim
     L = model.seq_len
@@ -301,46 +360,34 @@ def model_backward(model: ToyModel, dlogits):
         dh = dfeat
         for b in range(len(model.blocks) - 1, -1, -1):
             blk = cache["blocks"][b]
-            adapter = model.blocks[b]["w"]
             dz = dh * (1.0 - blk["h_out"] ** 2)
-            _accumulate(grads, f"block{b}.w", adapter, dz.T @ blk["h_in"])
-            dh = dz @ weights[f"block{b}.w"]
+            dw[b] = dz.T @ blk["h_in"]
+            dh = dz @ weights[b]
     else:
-        groups = features.shape[0]
         inv_sqrt = 1.0 / math.sqrt(n)
         dh = np.repeat(dfeat[:, None, :] / L, L, axis=1)
         for b in range(len(model.blocks) - 1, -1, -1):
             blk = cache["blocks"][b]
-            block = model.blocks[b]
             h_in, q, k, v, p, ctx = (blk[key] for key in ("h_in", "q", "k", "v", "p", "ctx"))
+            wq, wk, wv, wo = weights[4 * b:4 * b + 4]
             d_out = dh  # residual add: gradient flows to both terms
-            dctx = d_out @ weights[f"block{b}.out"]
-            _accumulate(grads, f"block{b}.out", block["out"], _flat_weight_grad(d_out, ctx))
+            dctx = d_out @ wo
+            dw[4 * b + 3] = _flat_weight_grad(d_out, ctx)
             dp = np.einsum("gid,gjd->gij", dctx, v)
             dv = np.einsum("gij,gid->gjd", p, dctx)
             dscores = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
             dq = np.einsum("gij,gjd->gid", dscores, k) * inv_sqrt
             dk = np.einsum("gij,gid->gjd", dscores, q) * inv_sqrt
-            _accumulate(grads, f"block{b}.q", block["q"], _flat_weight_grad(dq, h_in))
-            _accumulate(grads, f"block{b}.k", block["k"], _flat_weight_grad(dk, h_in))
-            _accumulate(grads, f"block{b}.v", block["v"], _flat_weight_grad(dv, h_in))
-            dh = (
-                dh
-                + dq @ weights[f"block{b}.q"]
-                + dk @ weights[f"block{b}.k"]
-                + dv @ weights[f"block{b}.v"]
-            )
-    return grads
+            dw[4 * b] = _flat_weight_grad(dq, h_in)
+            dw[4 * b + 1] = _flat_weight_grad(dk, h_in)
+            dw[4 * b + 2] = _flat_weight_grad(dv, h_in)
+            dh = dh + dq @ wq + dk @ wk + dv @ wv
+    return {**model.stack.weight_grad(dw), **head}
 
 
 def _flat_weight_grad(d_out, h_in):
     n = d_out.shape[-1]
     return d_out.reshape(-1, n).T @ h_in.reshape(-1, n)
-
-
-def _accumulate(grads, prefix, adapter, weight_grad):
-    for key, g in adapter.weight_grad(weight_grad).items():
-        grads[f"{prefix}.{key}"] = g
 
 
 def save_model(model: ToyModel, directory, extra=None):
@@ -358,7 +405,9 @@ def save_model(model: ToyModel, directory, extra=None):
 
 
 def load_model(directory):
-    """Restore a checkpoint written by ``save_model``."""
+    """Restore a checkpoint written by ``save_model``. FormatError when a
+    tensor's shape or an adapter's kind disagrees with the manifest's
+    ``backbone``."""
     d = Path(directory)
     manifest = read_manifest(d, "checkpoint")
     try:
@@ -369,9 +418,21 @@ def load_model(directory):
     for b in range(cfg.depth):
         block = {}
         for layer in BLOCK_LAYERS[cfg.kind]:
-            block[layer] = load_adapter(d / "adapters" / f"block{b}.{layer}")
+            name = f"block{b}.{layer}"
+            adapter = load_adapter(d / "adapters" / name)
+            if adapter.kind != cfg.adapter_kind or adapter.n != cfg.dim:
+                raise FormatError(
+                    f"{d}: adapter {name} is {adapter.kind} of size {adapter.n}, the backbone "
+                    f"expects {cfg.adapter_kind} of size {cfg.dim}")
+            block[layer] = adapter
         blocks.append(block)
     head_w = read_emx(d / "head_w.emx")
     head_b = read_emx(d / "head_b.emx").reshape(-1)
-    model = ToyModel(cfg, blocks, head_w, head_b)
+    if head_w.shape[1] != cfg.dim or head_b.shape != head_w.shape[:1]:
+        raise FormatError(f"{d}: head shapes {head_w.shape} and {head_b.shape} do not fit "
+                          f"a ({head_w.shape[0]}, {cfg.dim}) head with one bias per class")
+    try:
+        model = ToyModel(cfg, blocks, head_w, head_b)
+    except ValidationError as exc:
+        raise FormatError(f"{d}: {exc}") from exc
     return model, manifest

@@ -1,7 +1,11 @@
 """Adapter parameterizations: forward maps, regularizers, exact gradients."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthoadapt.adapters import (
     FrozenAdapter,
@@ -11,6 +15,7 @@ from orthoadapt.adapters import (
     SvdResidualAdapter,
     count_trainable,
     load_adapter,
+    stack_adapters,
 )
 from orthoadapt.errors import ValidationError
 from orthoadapt.linalg import SubspaceSplit, frobenius_sq
@@ -378,3 +383,97 @@ class TestSerialization:
         ad.save(tmp_path / "f")
         back = load_adapter(tmp_path / "f")
         np.testing.assert_array_equal(back.effective_weight(), ad.effective_weight())
+
+
+def random_adapters(kind, m, n, k, seed):
+    """m adapters of one kind and shape, moved away from their init."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(m):
+        w = rng.standard_normal((n, n))
+        if kind == "svd":
+            ad = SvdResidualAdapter(w, k)
+            for p in ad.trainable().values():
+                p += 0.1 * rng.standard_normal(p.shape)
+        elif kind == "lora":
+            ad = LoraAdapter(w, k, rng, scale=float(rng.uniform(0.5, 2.0)))
+            ad.b += rng.standard_normal(ad.b.shape)
+        else:
+            ad = FullAdapter(w) if kind == "full" else FrozenAdapter(w)
+        out.append(ad)
+    return out
+
+
+def assert_same_grads(stacked, singles):
+    assert set(stacked) == set().union(*singles)
+    for i, g in enumerate(singles):
+        for key, arr in g.items():
+            assert stacked[key][i].tobytes() == arr.tobytes(), key
+
+
+STACK_CASES = st.tuples(
+    st.integers(1, 5),  # m
+    st.integers(1, 7),  # n
+    st.integers(1, 7),  # k, clipped to n: k = n leaves no frozen part
+    st.integers(0, 2**32 - 1),
+)
+
+
+class TestStack:
+    """A stacked adapter gives, bit for bit, what m one-matrix calls give."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(STACK_CASES, st.booleans(), st.booleans(), st.booleans())
+    def test_svd_matches_single_calls(self, case, orth_on, energy_on, pass_weight):
+        m, n, k, seed = case
+        k = min(k, n)
+        singles = random_adapters("svd", m, n, k, seed)
+        members = copy.deepcopy(singles)
+        stack = stack_adapters(members)
+        rng = np.random.default_rng(seed + 1)
+        dw = rng.standard_normal((m, n, n))
+        lam1, lam2 = (0.3 if orth_on else 0.0), (0.2 if energy_on else 0.0)
+
+        weights = stack.effective_weight()
+        orth, sv, grads = stack.reg_terms(lam1, lam2, w_eff=weights if pass_weight else None)
+        assert orth.shape == sv.shape == (m,)
+        assert_same_grads(stack.weight_grad(dw), [a.weight_grad(g) for a, g in zip(singles, dw)])
+        single_regs = []
+        for i, a in enumerate(singles):
+            w = a.effective_weight()
+            assert weights[i].tobytes() == w.tobytes()
+            o, s, g = a.reg_terms(lam1, lam2, w_eff=w if pass_weight else None)
+            assert type(o) is float and type(s) is float
+            assert (orth[i], sv[i]) == (o, s)
+            single_regs.append(g)
+        assert_same_grads(grads, single_regs)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(STACK_CASES, st.sampled_from(["lora", "full", "frozen"]))
+    def test_other_kinds_match_single_calls(self, case, kind):
+        m, n, k, seed = case
+        k = min(k, n)
+        singles = random_adapters(kind, m, n, k, seed)
+        stack = stack_adapters(copy.deepcopy(singles))
+        dw = np.random.default_rng(seed + 1).standard_normal((m, n, n))
+        weights = stack.effective_weight()
+        for i, a in enumerate(singles):
+            assert weights[i].tobytes() == a.effective_weight().tobytes()
+        assert_same_grads(stack.weight_grad(dw), [a.weight_grad(g) for a, g in zip(singles, dw)])
+        assert stack.count_trainable() == count_trainable(singles)
+
+    def test_members_become_views(self):
+        members = random_adapters("svd", 3, 5, 2, 0)
+        before = [a.effective_weight() for a in members]
+        stack = stack_adapters(members)
+        for a, w in zip(members, before):
+            assert a.effective_weight().tobytes() == w.tobytes()
+        members[1].u[0, 0] += 1.0  # an edit through a member shows in the stack
+        assert stack.u[1, 0, 0] == members[1].u[0, 0]
+        assert np.shares_memory(members[2].split.u_r, stack.split.u_r)
+
+    def test_rejects_mixed_kinds_and_shapes(self):
+        with pytest.raises(ValidationError, match="one kind"):
+            stack_adapters(random_adapters("full", 1, 4, 1, 0) + random_adapters("frozen", 1, 4, 1, 0))
+        with pytest.raises(ValidationError, match="cannot stack"):
+            stack_adapters(random_adapters("svd", 1, 4, 1, 0) + random_adapters("svd", 1, 4, 2, 0))

@@ -36,6 +36,12 @@ def checkpoint(tmp_path, config_path):
     return out
 
 
+def cut_emx(path, rows, cols):
+    """Rewrite an EMX file with only its first ``rows`` rows and ``cols``
+    columns (None keeps them all)."""
+    write_emx(path, read_emx(path)[:rows, :cols])
+
+
 def tree_bytes(root):
     return {str(p.relative_to(root)): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
@@ -147,12 +153,40 @@ class TestFinetune:
         assert len(trace) == 1 + summary["iterations"]
         assert summary["iterations"] < cfg["train"]["iters"]
 
+    def test_overflowing_features_leave_partial_report(self, tmp_path, checkpoint, capsys):
+        # lr 1e30 trains every step with finite losses, but the features of
+        # the trained model are so large that their covariance overflows in
+        # the final effective-rank probe
+        cfg = json.loads(json.dumps(TINY_CONFIG))
+        cfg["train"]["lr"] = 1e30
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "ovf"
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            rc = main(["finetune", "--config", str(path), "--checkpoint", str(checkpoint),
+                       "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["error"] == "diverged after training: covariance of the features is not finite"
+        assert summary["rank_after"] is None
+        trace = (out / "trace.csv").read_text().splitlines()
+        assert len(trace) == 1 + summary["iterations"] == 1 + cfg["train"]["iters"]
+
     @pytest.mark.parametrize("damage", [
         lambda ck, manifest: (ck / "adapters" / "block0.q" / "w.emx").unlink(),
         lambda ck, manifest: manifest.pop("backbone"),
         lambda ck, manifest: manifest.update(backbone="attention"),
         lambda ck, manifest: manifest.update(backbone={"kind": "attention", "dim": "16"}),
-    ], ids=["emx_deleted", "no_backbone", "backbone_not_object", "backbone_mistyped"])
+        lambda ck, manifest: cut_emx(ck / "adapters" / "block0.q" / "w.emx", 8, 8),
+        lambda ck, manifest: cut_emx(ck / "head_w.emx", None, 5),
+        lambda ck, manifest: cut_emx(ck / "head_b.emx", 3, None),
+        lambda ck, manifest: manifest["backbone"].update(adapter_kind="frozen"),
+        lambda ck, manifest: manifest["backbone"].update(dim=8),
+    ], ids=["emx_deleted", "no_backbone", "backbone_not_object", "backbone_mistyped",
+            "adapter_w_cut", "head_w_cut", "head_b_cut", "kind_mismatch", "dim_mismatch"])
     def test_damaged_checkpoint(self, tmp_path, config_path, checkpoint, capsys, damage):
         manifest = json.loads((checkpoint / "manifest.json").read_text())
         damage(checkpoint, manifest)

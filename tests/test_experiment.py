@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthoadapt.data import SyntheticSpec, gen_dataset
 from orthoadapt.errors import NumericalError, PretrainingFailure, ValidationError
@@ -97,6 +99,19 @@ class TestRocAuc:
     def test_single_class_rejected(self):
         with pytest.raises(ValidationError):
             roc_auc([0.1, 0.9], [1, 1])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 0.5, 3.0]),
+                              st.integers(0, 1)), min_size=2, max_size=60))
+    def test_tied_scores_match_pairwise_count(self, pairs):
+        # heavy ties: few distinct scores, -0.0 and 0.0 among them
+        scores = np.array([s for s, _ in pairs])
+        y = np.array([label for _, label in pairs])
+        if y.min() == y.max():
+            y[0] = 1 - y[0]
+        pos, neg = scores[y == 1], scores[y == 0]
+        wins = sum((p > n) + 0.5 * (p == n) for p in pos for n in neg)
+        assert roc_auc(scores, y) == wins / (len(pos) * len(neg))
 
 
 class TestAccuracy:
@@ -194,8 +209,8 @@ class TestTrain:
         spec, model, ds = tiny_world()
         params = _FlatParams(model)
         before = params.flat.copy()
-        grads = {name: np.zeros_like(p) for name, p in model.trainable().items()}
-        grads["block0.w.v"][1, 0] = np.nan
+        grads = {key: np.zeros_like(p) for key, p in model.stacked_trainable().items()}
+        grads["v"][0, 1, 0] = np.nan  # row 0 of the stack is block0.w
         with pytest.raises(NumericalError, match="non-finite gradient for block0.w.v"):
             params.step(grads, 0.1, 1)
         assert params.flat.tobytes() == before.tobytes()

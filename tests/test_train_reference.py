@@ -1,15 +1,21 @@
-"""train() and pretrain() against a reference loop built from public pieces.
+"""train() and pretrain() against a reference loop built from per-matrix code.
 
-The reference is the plain per-tensor loop: model_forward, cls_loss,
-_regularizers (each adapter recomputing its effective weight), model_backward
-and one adam_step over a dict with one entry per tensor. train() and
-pretrain() keep every trainable tensor in one flat buffer, take one adam_step
-per step and reuse the forward's effective weights; only IEEE elementwise
-operations differ in grouping, so the two must agree bit for bit.
+The reference is the plain per-tensor loop, kept here as test-local copies
+of the per-adapter code the package used before its adapters were stacked:
+each adapter's effective weight and weight gradient, a forward and a
+backward pass that call them one matrix at a time, cls_loss and
+cls_loss_grad as two softmaxes, the regularizers as one reg_terms per
+adapter, and one adam_step over a dict with one entry per tensor. train()
+and pretrain() stack the adapters, fuse the loss with its gradient, keep
+every trainable tensor in one flat buffer and take one adam_step per step;
+only the grouping of the same IEEE operations differs, so the two must agree
+bit for bit.
 """
 
+import math
 from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
 
 from orthoadapt.analysis import effective_rank
@@ -18,7 +24,6 @@ from orthoadapt.experiment import (
     ExperimentReport,
     PretrainConfig,
     TrainConfig,
-    _regularizers,
     adam_step,
     binary_metrics,
     evaluate,
@@ -27,16 +32,156 @@ from orthoadapt.experiment import (
     semantic_shards,
     train,
 )
-from orthoadapt.model import (
-    BackboneConfig,
-    adapt_model,
-    cls_loss,
-    cls_loss_grad,
-    init_model,
-    model_backward,
-    model_forward,
-)
+from orthoadapt.model import BackboneConfig, adapt_model, init_model
 from orthoadapt.seeding import substream
+
+
+# ---- per-matrix reference code ----------------------------------------------
+
+def ref_weight(a):
+    if a.kind == "svd":
+        return a._w_principal + (a.u * a.s) @ a.v.T
+    if a.kind == "lora":
+        return a.w0 + a.scale * (a.b @ a.a)
+    return a.w
+
+
+def ref_weight_grad(a, m):
+    if a.kind == "svd":
+        return {"u": m @ (a.v * a.s), "s": np.einsum("ik,ik->k", a.u, m @ a.v),
+                "v": m.T @ (a.u * a.s)}
+    if a.kind == "lora":
+        return {"a": a.scale * (a.b.T @ m), "b": a.scale * (m @ a.a.T)}
+    return {"w": m} if a.kind == "full" else {}
+
+
+def ref_reg_terms(a, lambda1, lambda2):
+    grads = {}
+    orth = 0.0
+    sv = 0.0
+    if lambda1 > 0:
+        sp = a.split
+        orth = sum(np.sum(g * g) for g in (f.T @ f - np.eye(sp.r) for f in (sp.u_r, sp.v_r)))
+        for key, frozen, f in (("u", sp.u_r, a.u), ("v", sp.v_r, a.v)):
+            cross = frozen.T @ f
+            gram = f.T @ f - np.eye(f.shape[1])
+            orth += 2.0 * (cross * cross).sum() + (gram * gram).sum()
+            grads[key] = 4.0 * lambda1 * (frozen @ cross + f @ gram)
+        orth = float(orth)
+    if lambda2 > 0:
+        w_eff = ref_weight(a)
+        drift = float((w_eff * w_eff).sum()) - a.frozen_frob_sq
+        sv = abs(drift)
+        sign = 0.0 if drift == 0.0 else (1.0 if drift > 0 else -1.0)
+        for key, g in ref_weight_grad(a, 2.0 * sign * lambda2 * w_eff).items():
+            grads[key] = grads.get(key, 0.0) + g
+    return orth, sv, grads
+
+
+def ref_regularizers(model, lambda1, lambda2):
+    adapters = model.adapters()
+    m = len(adapters)
+    orth_mean = 0.0
+    sv_mean = 0.0
+    grads = {}
+    for name, adapter in adapters:
+        orth, sv, g = ref_reg_terms(adapter, lambda1 / m, lambda2 / m)
+        orth_mean += orth / m
+        sv_mean += sv / m
+        for key, arr in g.items():
+            grads[f"{name}.{key}"] = arr
+    return orth_mean, sv_mean, grads
+
+
+def ref_softmax(z):
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def ref_cls_loss(z, y):
+    shifted = z - z.max(axis=1, keepdims=True)
+    per_sample = np.log(np.exp(shifted).sum(axis=1)) - shifted[np.arange(z.shape[0]), y]
+    real = float(per_sample[y == 0].mean()) if (y == 0).any() else float("nan")
+    fake = float(per_sample[y == 1].mean()) if (y == 1).any() else float("nan")
+    return float(per_sample.mean()), real, fake
+
+
+def ref_cls_loss_grad(z, y):
+    p = ref_softmax(z)
+    p[np.arange(z.shape[0]), y] -= 1.0
+    return p / z.shape[0]
+
+
+def ref_forward(model, x):
+    """Logits of a training forward; returns the cache for ref_backward."""
+    layers = {name: a for name, a in model.adapters()}
+    weights = {name: ref_weight(a) for name, a in layers.items()}
+    blocks = []
+    n, L = model.dim, model.seq_len
+    if model.cfg.kind == "mlp":
+        h = x
+        for b in range(len(model.blocks)):
+            h_new = np.tanh(h @ weights[f"block{b}.w"].T)
+            blocks.append({"h_in": h, "h_out": h_new})
+            h = h_new
+        features = h
+    else:
+        h = x.reshape(x.shape[0] // L, L, n)
+        for b in range(len(model.blocks)):
+            wq, wk, wv, wo = (weights[f"block{b}.{k}"] for k in ("q", "k", "v", "out"))
+            q, k, v = h @ wq.T, h @ wk.T, h @ wv.T
+            p = ref_softmax(np.einsum("gid,gjd->gij", q, k) * (1.0 / math.sqrt(n)))
+            ctx = np.einsum("gij,gjd->gid", p, v)
+            blocks.append({"h_in": h, "q": q, "k": k, "v": v, "p": p, "ctx": ctx})
+            h = h + ctx @ wo.T
+        features = h.mean(axis=1)
+    logits = features @ model.head_w.T + model.head_b
+    return logits, {"blocks": blocks, "weights": weights, "features": features}
+
+
+def ref_backward(model, cache, dlog):
+    layers = dict(model.adapters())
+    weights, features = cache["weights"], cache["features"]
+    grads = {"head.w": dlog.T @ features, "head.b": dlog.sum(axis=0)}
+
+    def put(name, m):
+        for key, g in ref_weight_grad(layers[name], m).items():
+            grads[f"{name}.{key}"] = g
+
+    def flat(d_out, h_in):
+        n = d_out.shape[-1]
+        return d_out.reshape(-1, n).T @ h_in.reshape(-1, n)
+
+    dfeat = dlog @ model.head_w
+    n, L = model.dim, model.seq_len
+    if model.cfg.kind == "mlp":
+        dh = dfeat
+        for b in range(len(model.blocks) - 1, -1, -1):
+            blk = cache["blocks"][b]
+            dz = dh * (1.0 - blk["h_out"] ** 2)
+            put(f"block{b}.w", dz.T @ blk["h_in"])
+            dh = dz @ weights[f"block{b}.w"]
+    else:
+        inv_sqrt = 1.0 / math.sqrt(n)
+        dh = np.repeat(dfeat[:, None, :] / L, L, axis=1)
+        for b in range(len(model.blocks) - 1, -1, -1):
+            h_in, q, k, v, p, ctx = (cache["blocks"][b][key]
+                                     for key in ("h_in", "q", "k", "v", "p", "ctx"))
+            dctx = dh @ weights[f"block{b}.out"]
+            put(f"block{b}.out", flat(dh, ctx))
+            dp = np.einsum("gid,gjd->gij", dctx, v)
+            dv = np.einsum("gij,gid->gjd", p, dctx)
+            dscores = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+            dq = np.einsum("gij,gjd->gid", dscores, k) * inv_sqrt
+            dk = np.einsum("gij,gid->gjd", dscores, q) * inv_sqrt
+            put(f"block{b}.q", flat(dq, h_in))
+            put(f"block{b}.k", flat(dk, h_in))
+            put(f"block{b}.v", flat(dv, h_in))
+            dh = (dh + dq @ weights[f"block{b}.q"] + dk @ weights[f"block{b}.k"]
+                  + dv @ weights[f"block{b}.v"])
+    return grads
+
 
 SPEC = SyntheticSpec(dim=12, clusters=3, samples_per_split=64, seed=5)
 BACKBONES = {
@@ -69,10 +214,10 @@ def reference_train(model, dataset, cfg, eval_sets, rank_set, rank_threshold=0.9
     rng = substream(cfg.seed, "batches")
     for t in range(1, cfg.iters + 1):
         x, y = sample_batch(rng, dataset, cfg.batch)
-        logits, _ = model_forward(model, x, train=True)
-        loss, real, fake = cls_loss(logits, y)
+        logits, cache = ref_forward(model, x)
+        loss, real, fake = ref_cls_loss(logits, y)
         if cfg.regime == "svd":
-            orth, sv, reg_grads = _regularizers(model, cfg.lambda1, cfg.lambda2)
+            orth, sv, reg_grads = ref_regularizers(model, cfg.lambda1, cfg.lambda2)
         else:
             orth, sv, reg_grads = 0.0, 0.0, {}
         report.iters.append(t - 1)
@@ -81,7 +226,7 @@ def reference_train(model, dataset, cfg, eval_sets, rank_set, rank_threshold=0.9
         report.fake_loss.append(fake)
         report.orth_loss.append(orth)
         report.sv_loss.append(sv)
-        grads = model_backward(model, cls_loss_grad(logits, y))
+        grads = ref_backward(model, cache, ref_cls_loss_grad(logits, y))
         for key, g in reg_grads.items():
             grads[key] = grads.get(key, 0.0) + g
         adam_step(params, grads, state, cfg.lr, t=t)
@@ -102,9 +247,10 @@ def reference_pretrain(backbone, spec, cfg):
     losses, acc_trace = [], []
     for t in range(1, cfg.max_iters + 1):
         x, y = sample_batch(rng, train_ds, cfg.batch)
-        logits, _ = model_forward(model, x, train=True)
-        losses.append(cls_loss(logits, y)[0])
-        adam_step(params, model_backward(model, cls_loss_grad(logits, y)), state, cfg.lr, t=t)
+        logits, cache = ref_forward(model, x)
+        losses.append(ref_cls_loss(logits, y)[0])
+        adam_step(params, ref_backward(model, cache, ref_cls_loss_grad(logits, y)), state,
+                  cfg.lr, t=t)
         if t % cfg.eval_every == 0:
             acc_trace.append((t, semantic_accuracy(model, eval_ds)))
     # target_accuracy is out of reach, so the run ends at the cap with one
