@@ -10,6 +10,9 @@ weight into per-tensor gradients, and ``count_trainable()``.
 * FullAdapter - the raw weight, fully trainable.
 * FrozenAdapter - the raw weight, fixed.
 
+``KINDS`` maps each kind's string to its class. ``save`` writes any kind;
+``load_adapter`` reads it back through the kind's ``_load``.
+
 An adapter holds the tensors of one n x n matrix. ``stack_adapters`` builds an
 adapter of the same kind whose tensors hold m matrices along a leading axis,
 and makes each member's tensors views into those stacks. The methods above
@@ -25,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .emx import read_emx, write_emx
-from .errors import FormatError, ValidationError, check_numeric_fields
+from .errors import FormatError, ValidationError, check_field_types
 from .linalg import SubspaceSplit, check_matrix, reconstruct, split, svd
 
 
@@ -37,7 +40,7 @@ class RegularizerWeights:
     lambda2: float = 1.0
 
     def __post_init__(self):
-        check_numeric_fields(self)
+        check_field_types(self)
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValidationError("regularizer weights must be non-negative")
 
@@ -78,6 +81,28 @@ class _Adapter:
 
     def count_trainable(self):
         return sum(p.size for p in self.trainable().values())
+
+    def _saved(self):
+        """(file stem -> tensor, manifest fields beyond kind and n) that
+        ``save`` writes; by default the ``_TENSORS`` and no rank."""
+        return {key: getattr(self, key) for key in self._TENSORS}, {"r": 0}
+
+    def save(self, directory):
+        """One EMX file per tensor of ``_saved()`` (a vector as one column)
+        and a manifest of the kind, n and the kind's own fields."""
+        d = Path(directory)
+        d.mkdir(parents=True, exist_ok=True)
+        tensors, fields = self._saved()
+        for stem, a in tensors.items():
+            write_emx(d / f"{stem}.emx", a.reshape(a.shape[0], -1))
+        text = json.dumps({"kind": self.kind, "n": self.n, **fields}, sort_keys=True, indent=2)
+        (d / "manifest.json").write_text(text + "\n")
+
+    @classmethod
+    def _load(cls, d, n, manifest):
+        """The adapter of this kind saved in ``d``, with ``n`` from its
+        manifest; by default one n x n weight in ``w.emx``."""
+        return cls(_read(d, "w.emx", (n, n)))
 
 
 class SvdResidualAdapter(_Adapter):
@@ -188,26 +213,25 @@ class SvdResidualAdapter(_Adapter):
             return float(orth), float(sv), grads
         return orth, sv, grads
 
-    def save(self, directory):
-        d = Path(directory)
-        d.mkdir(parents=True, exist_ok=True)
+    def _saved(self):
         sp = self.split
-        if sp.r > 0:
-            write_emx(d / "u_r.emx", sp.u_r)
-            write_emx(d / "s_r.emx", sp.s_r.reshape(-1, 1))
-            write_emx(d / "v_r.emx", sp.v_r)
-        write_emx(d / "u.emx", self.u)
-        write_emx(d / "s.emx", self.s.reshape(-1, 1))
-        write_emx(d / "v.emx", self.v)
-        manifest = {
-            "kind": self.kind,
-            "n": self.n,
-            "r": sp.r,
-            "lambda1": self.reg.lambda1,
-            "lambda2": self.reg.lambda2,
-            "frozen_frob_sq": self.frozen_frob_sq,
-        }
-        _write_manifest(d, manifest)
+        frozen = {"u_r": sp.u_r, "s_r": sp.s_r, "v_r": sp.v_r} if sp.r > 0 else {}
+        return {**frozen, "u": self.u, "s": self.s, "v": self.v}, {
+            "r": sp.r, "lambda1": self.reg.lambda1, "lambda2": self.reg.lambda2,
+            "frozen_frob_sq": self.frozen_frob_sq}
+
+    @classmethod
+    def _load(cls, d, n, manifest):
+        r = int(manifest["r"])
+        if not 0 <= r < n:
+            raise FormatError(f"{d}: frozen rank {r} out of range [0, {n})")
+        k = n - r
+        frozen = {f: _read(d, f"{f}.emx", shape) if r > 0 else np.zeros(shape)
+                  for f, shape in (("u_r", (n, r)), ("s_r", (r,)), ("v_r", (n, r)))}
+        sp = SubspaceSplit(r=r, **frozen, u_nr=_read(d, "u.emx", (n, k)),
+                           s_nr=_read(d, "s.emx", (k,)), v_nr=_read(d, "v.emx", (n, k)),
+                           frozen_frob_sq=float(manifest["frozen_frob_sq"]))
+        return cls.from_split(n, sp, RegularizerWeights(manifest["lambda1"], manifest["lambda2"]))
 
 
 class LoraAdapter(_Adapter):
@@ -233,13 +257,14 @@ class LoraAdapter(_Adapter):
         self.scale = np.array([a.scale for a in adapters])[:, None, None]
 
     @classmethod
-    def from_parts(cls, w0, a, b, scale):
+    def _load(cls, d, n, manifest):
+        r = int(manifest["r"])
         self = cls.__new__(cls)
-        self.n = w0.shape[0]
-        self.w0 = w0
-        self.a = a
-        self.b = b
-        self.scale = float(scale)
+        self.n = n
+        self.w0 = _read(d, "w0.emx", (n, n))
+        self.a = _read(d, "a.emx", (r, n))
+        self.b = _read(d, "b.emx", (n, r))
+        self.scale = float(manifest["scale"])
         return self
 
     @property
@@ -255,13 +280,8 @@ class LoraAdapter(_Adapter):
     def weight_grad(self, m):
         return {"a": self.scale * (_t(self.b) @ m), "b": self.scale * (m @ _t(self.a))}
 
-    def save(self, directory):
-        d = Path(directory)
-        d.mkdir(parents=True, exist_ok=True)
-        write_emx(d / "w0.emx", self.w0)
-        write_emx(d / "a.emx", self.a)
-        write_emx(d / "b.emx", self.b)
-        _write_manifest(d, {"kind": self.kind, "n": self.n, "r": self.rank, "scale": self.scale})
+    def _saved(self):
+        return super()._saved()[0], {"r": self.rank, "scale": self.scale}
 
 
 class FullAdapter(_Adapter):
@@ -286,12 +306,6 @@ class FullAdapter(_Adapter):
     def weight_grad(self, m):
         return {"w": m}
 
-    def save(self, directory):
-        d = Path(directory)
-        d.mkdir(parents=True, exist_ok=True)
-        write_emx(d / "w.emx", self.w)
-        _write_manifest(d, {"kind": self.kind, "n": self.n, "r": 0})
-
 
 class FrozenAdapter(_Adapter):
     """Fixed weight matrix; nothing trains."""
@@ -315,11 +329,8 @@ class FrozenAdapter(_Adapter):
     def weight_grad(self, m):
         return {}
 
-    def save(self, directory):
-        d = Path(directory)
-        d.mkdir(parents=True, exist_ok=True)
-        write_emx(d / "w.emx", self.w)
-        _write_manifest(d, {"kind": self.kind, "n": self.n, "r": 0})
+
+KINDS = {cls.kind: cls for cls in (SvdResidualAdapter, LoraAdapter, FullAdapter, FrozenAdapter)}
 
 
 def stack_adapters(adapters):
@@ -338,11 +349,6 @@ def stack_adapters(adapters):
     st.bind({key: _stack([getattr(a, key) for a in adapters], key) for key in cls._TENSORS})
     st._stack_rest(adapters)
     return st
-
-
-def _write_manifest(directory, payload):
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    (Path(directory) / "manifest.json").write_text(text)
 
 
 def read_manifest(directory, what):
@@ -364,8 +370,11 @@ def load_adapter(directory):
     """Restore any adapter saved by ``.save()``; byte-stable round trip."""
     d = Path(directory)
     manifest = read_manifest(d, "adapter")
+    kind = manifest.get("kind")
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise FormatError(f"{d}: unknown adapter kind {kind!r}")
     try:
-        return _load_kind(d, manifest)
+        return KINDS[kind]._load(d, int(manifest["n"]), manifest)
     except ValidationError:
         raise
     except KeyError as exc:
@@ -382,48 +391,6 @@ def _read(d, name, shape):
     if a.shape != want:
         raise FormatError(f"{d / name}: shape {a.shape}, expected {want}")
     return a.reshape(shape)
-
-
-def _load_kind(d, manifest):
-    kind = manifest.get("kind")
-    if kind not in ("svd", "lora", "full", "frozen"):
-        raise FormatError(f"{d}: unknown adapter kind {kind!r}")
-    n = int(manifest["n"])
-    if kind == "svd":
-        r = int(manifest["r"])
-        if not 0 <= r < n:
-            raise FormatError(f"{d}: frozen rank {r} out of range [0, {n})")
-        k = n - r
-        if r > 0:
-            u_r = _read(d, "u_r.emx", (n, r))
-            s_r = _read(d, "s_r.emx", (r,))
-            v_r = _read(d, "v_r.emx", (n, r))
-        else:
-            u_r = np.zeros((n, 0))
-            s_r = np.zeros(0)
-            v_r = np.zeros((n, 0))
-        sp = SubspaceSplit(
-            r=r,
-            u_r=u_r,
-            s_r=s_r,
-            v_r=v_r,
-            u_nr=_read(d, "u.emx", (n, k)),
-            s_nr=_read(d, "s.emx", (k,)),
-            v_nr=_read(d, "v.emx", (n, k)),
-            frozen_frob_sq=float(manifest["frozen_frob_sq"]),
-        )
-        reg = RegularizerWeights(manifest["lambda1"], manifest["lambda2"])
-        return SvdResidualAdapter.from_split(n, sp, reg)
-    if kind == "lora":
-        r = int(manifest["r"])
-        return LoraAdapter.from_parts(
-            _read(d, "w0.emx", (n, n)),
-            _read(d, "a.emx", (r, n)),
-            _read(d, "b.emx", (n, r)),
-            manifest["scale"],
-        )
-    w = _read(d, "w.emx", (n, n))
-    return FullAdapter(w) if kind == "full" else FrozenAdapter(w)
 
 
 def count_trainable(adapters, head_params=0):

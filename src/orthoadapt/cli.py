@@ -13,13 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from .analysis import effective_rank, projection_export
-from .data import SyntheticSpec, gen_dataset
+from .data import SyntheticSpec
 from .emx import read_emx, write_emx
 from .errors import (
     ConfigError,
@@ -40,19 +38,17 @@ from .linalg import frobenius_sq, split, svd
 from .model import BackboneConfig, load_model, save_model
 from .seeding import derive_seed
 
-_SPEC_FIELDS = {
-    "dim", "clusters", "cluster_mean_scale", "noise_sigma", "samples_per_split",
-    "seed", "num_methods", "holdout_methods", "gamma", "perturb_rank",
-    "method_overlap", "mean_align", "amplitude_noise", "amplitude_spread",
-    "noise_spread", "artifact_noise",
-}
-_BACKBONE_FIELDS = {"kind", "dim", "depth", "seq_len"}
-_PRETRAIN_FIELDS = {"lr", "batch", "max_iters", "eval_every", "target_accuracy",
-                    "min_accuracy", "seed"}
-_TRAIN_FIELDS = {"lr", "batch", "iters", "lambda1", "lambda2", "regime", "rank", "seed"}
-_SWEEP_FIELDS = {"residual_ranks", "lora_ranks", "seeds"}
-_SECTIONS = {"spec": _SPEC_FIELDS, "backbone": _BACKBONE_FIELDS,
-             "pretrain": _PRETRAIN_FIELDS, "train": _TRAIN_FIELDS, "sweep": _SWEEP_FIELDS}
+
+def _init_fields(cls, *skip):
+    return {f.name for f in fields(cls) if f.init and f.name not in skip}
+
+
+# the keys each config section accepts: the dataclasses' init fields, less
+# the ones a config file does not set
+_SECTIONS = {"spec": _init_fields(SyntheticSpec, "fake_methods"),
+             "backbone": _init_fields(BackboneConfig, "adapter_kind", "rank"),
+             "pretrain": _init_fields(PretrainConfig), "train": _init_fields(TrainConfig),
+             "sweep": {"residual_ranks", "lora_ranks", "seeds"}}
 
 
 def _check_section(name, payload, allowed):
@@ -109,8 +105,7 @@ def build_config(raw, seed_override=None):
 
 
 def _spec_echo(spec):
-    keep = {k: v for k, v in asdict(spec).items() if k in _SPEC_FIELDS}
-    return keep
+    return {k: v for k, v in asdict(spec).items() if k in _SECTIONS["spec"]}
 
 
 def _prepare_out(path, force, marker="summary.json"):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError, check_numeric_fields
+from .errors import ConfigError, ValidationError, check_field_types
 from .seeding import substream
 
 SPLITS = ("pretrain", "finetune_train", "finetune_test_seen", "finetune_test_unseen")
@@ -27,14 +27,12 @@ class FakeMethod:
     u: np.ndarray  # (n, p), orthonormal columns
     v: np.ndarray  # (n, p), orthonormal columns
     gamma: float
-    perturb_rank: int = 1
 
     def __post_init__(self):
         p = self.u.shape[1]
-        self.perturb_rank = p
         for name, basis in (("u", self.u), ("v", self.v)):
             gram = basis.T @ basis
-            if np.abs(gram - np.eye(p)).max() > 1e-8:
+            if not np.abs(gram - np.eye(p)).max() <= 1e-8:  # NaN fails too
                 raise ValidationError(f"method {self.id}: {name} columns not orthonormal")
 
     def apply(self, x):
@@ -66,13 +64,19 @@ class SyntheticSpec:
     amplitude_dir: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        check_numeric_fields(self)
+        check_field_types(self)
         if self.clusters < 2:
             raise ConfigError("spec needs at least 2 clusters")
         if self.clusters > self.dim:
             raise ConfigError("clusters cannot exceed the dimension")
         if self.noise_sigma <= 0:
             raise ConfigError("noise_sigma must be positive")
+        if self.cluster_mean_scale <= 0:
+            raise ConfigError("cluster_mean_scale must be positive")
+        if self.samples_per_split < 1 or self.perturb_rank < 1:
+            raise ConfigError("samples_per_split and perturb_rank must be >= 1")
+        if not (0.0 <= self.method_overlap <= 1.0 and 0.0 <= self.mean_align <= 1.0):
+            raise ConfigError("method_overlap and mean_align must lie in [0, 1]")
         rng = substream(self.seed, "clusters")
         # Orthogonal cluster means with per-coordinate RMS cluster_mean_scale
         # (norm scale * sqrt(dim), matching a Gaussian draw of that scale).

@@ -34,6 +34,8 @@ def read_emx(path):
     if raw[:4] != MAGIC:
         raise FormatError(f"{path}: bad magic bytes {raw[:4]!r}")
     rows, cols = struct.unpack("<QQ", raw[4:20])
+    if rows == 0 or cols == 0:
+        raise FormatError(f"{path}: zero dimension in EMX header ({rows} x {cols})")
     expected = 20 + rows * cols * 8
     if len(raw) != expected:
         raise FormatError(f"{path}: expected {expected} bytes, got {len(raw)}")

@@ -29,15 +29,18 @@ class PretrainingFailure(RuntimeError):
     """Synthetic pretraining stopped below the minimum accuracy bar."""
 
 
-def check_numeric_fields(cfg):
-    """Raise ConfigError unless every int or float field of the dataclass
-    ``cfg`` holds a finite number of its declared type (bools are not
-    numbers here; ints are accepted for float fields)."""
+def check_field_types(cfg):
+    """Raise ConfigError unless every int, float or str field of the
+    dataclass ``cfg`` holds a value of its declared type, a finite one for
+    numbers (bools are not numbers here; ints are accepted for float
+    fields)."""
     for f in fields(cfg):
-        kind = {"int": Integral, "float": Real}.get(getattr(f.type, "__name__", f.type))
+        kind = {"int": Integral, "float": Real, "str": str}.get(
+            getattr(f.type, "__name__", f.type))
         if kind is None or not f.init:
             continue
         value = getattr(cfg, f.name)
-        if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
-            raise ConfigError(
-                f"{type(cfg).__name__}.{f.name} must be a finite {f.type}, got {value!r}")
+        if (isinstance(value, bool) or not isinstance(value, kind)
+                or kind is not str and not math.isfinite(value)):
+            what = f.type if kind is str else f"finite {f.type}"
+            raise ConfigError(f"{type(cfg).__name__}.{f.name} must be a {what}, got {value!r}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from array import array
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -23,7 +24,7 @@ from .errors import (
     NumericalError,
     PretrainingFailure,
     ValidationError,
-    check_numeric_fields,
+    check_field_types,
 )
 from .linalg import check_matrix
 from .model import (
@@ -55,7 +56,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_numeric_fields(self)
+        check_field_types(self)
         if self.lr < 0:
             raise ConfigError("lr must be non-negative")
         if self.batch < 1:
@@ -78,20 +79,30 @@ class PretrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_numeric_fields(self)
+        check_field_types(self)
+        if self.lr < 0:
+            raise ConfigError("lr must be non-negative")
+        if self.batch < 1 or self.eval_every < 1:
+            raise ConfigError("batch and eval_every must be >= 1")
+        if self.max_iters < 0:
+            raise ConfigError("max_iters must be >= 0")
 
 
 @dataclass
 class ExperimentReport:
-    """Per-iteration traces plus final metrics for one training run."""
+    """Per-iteration traces plus final metrics for one training run.
+
+    The traces (one entry per step) are ``array``s, not lists: as lists of
+    float objects, the traces of a 20 000-step run make each garbage-collector
+    pass that meets them take milliseconds."""
 
     config: dict
-    iters: list = field(default_factory=list)
-    total_loss: list = field(default_factory=list)
-    real_loss: list = field(default_factory=list)
-    fake_loss: list = field(default_factory=list)
-    orth_loss: list = field(default_factory=list)
-    sv_loss: list = field(default_factory=list)
+    iters: array = field(default_factory=lambda: array("q"))
+    total_loss: array = field(default_factory=lambda: array("d"))
+    real_loss: array = field(default_factory=lambda: array("d"))
+    fake_loss: array = field(default_factory=lambda: array("d"))
+    orth_loss: array = field(default_factory=lambda: array("d"))
+    sv_loss: array = field(default_factory=lambda: array("d"))
     final_metrics: dict = field(default_factory=dict)
     rank_before: int = None
     rank_after: int = None

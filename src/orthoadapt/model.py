@@ -19,16 +19,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .adapters import (
-    FrozenAdapter,
-    FullAdapter,
+    KINDS,
     LoraAdapter,
-    RegularizerWeights,
     SvdResidualAdapter,
     load_adapter,
     read_manifest,
@@ -41,13 +39,14 @@ from .errors import (
     NumericalError,
     StateError,
     ValidationError,
-    check_numeric_fields,
+    check_field_types,
 )
 from .linalg import check_matrix
 from .seeding import substream
 
 BLOCK_LAYERS = {"mlp": ("w",), "attention": ("q", "k", "v", "out")}
 REGIMES = ("svd", "lora", "fft", "linear_probe")
+CHECKPOINT_FORMAT = "orthoadapt-checkpoint-v1"
 _REGIME_TO_KIND = {"svd": "svd", "lora": "lora", "fft": "full", "linear_probe": "frozen"}
 
 
@@ -61,7 +60,7 @@ class BackboneConfig:
     rank: int = 1
 
     def __post_init__(self):
-        check_numeric_fields(self)
+        check_field_types(self)
         if self.kind not in BLOCK_LAYERS:
             raise ConfigError(f"unknown backbone kind {self.kind!r}")
         if self.dim < 4:
@@ -72,20 +71,29 @@ class BackboneConfig:
             raise ConfigError("mlp backbones use seq_len = 1")
         if self.seq_len < 1:
             raise ConfigError("seq_len must be >= 1")
-        if self.adapter_kind not in ("svd", "lora", "full", "frozen"):
+        if self.adapter_kind not in KINDS:
             raise ConfigError(f"unknown adapter kind {self.adapter_kind!r}")
 
 
+def _layers(cfg):
+    """(block, layer name) of every adapted matrix, in layer order."""
+    return [(b, layer) for b in range(cfg.depth) for layer in BLOCK_LAYERS[cfg.kind]]
+
+
+def _names(cfg):
+    return [f"block{b}.{layer}" for b, layer in _layers(cfg)]
+
+
 class ToyModel:
-    def __init__(self, cfg: BackboneConfig, blocks, head_w, head_b):
+    def __init__(self, cfg: BackboneConfig, adapters, head_w, head_b):
+        """``adapters`` holds one adapter per adapted matrix, in layer order:
+        block by block, and within a block as in ``BLOCK_LAYERS``."""
         self.cfg = cfg
-        self.blocks = blocks  # list of dicts layer-name -> adapter
         self.head_w = head_w
         self.head_b = head_b
         self._cache = None
-        # one adapter over all m, in the order of adapters(); each block's
-        # adapter tensors are views into it
-        self.stack = stack_adapters([a for _, a in self.adapters()])
+        # one adapter over all m; each member's tensors are views into it
+        self.stack = stack_adapters(adapters)
 
     @property
     def dim(self):
@@ -100,12 +108,8 @@ class ToyModel:
         return self.head_w.shape[0]
 
     def adapters(self):
-        """(name, adapter) pairs in a fixed order."""
-        out = []
-        for b, block in enumerate(self.blocks):
-            for layer in BLOCK_LAYERS[self.cfg.kind]:
-                out.append((f"block{b}.{layer}", block[layer]))
-        return out
+        """(name, adapter) pairs in layer order, named "block{b}.{layer}"."""
+        return list(zip(_names(self.cfg), self.stack.members))
 
     def stacked_trainable(self):
         """Key -> live array for every trainable tensor: the stacked adapter
@@ -151,28 +155,25 @@ def _make_adapter(kind, w, rank, rng, reg=None):
         return SvdResidualAdapter(w, rank, reg=reg)
     if kind == "lora":
         return LoraAdapter(w, rank, rng, scale=DEFAULT_LORA_SCALE)
-    if kind == "full":
-        return FullAdapter(w)
-    if kind == "frozen":
-        return FrozenAdapter(w)
-    raise ConfigError(f"unknown adapter kind {kind!r}")
+    return KINDS[kind](w)
+
+
+def _build(cfg, weights, seed, reg, head_dim):
+    """A model of ``cfg`` whose adapters wrap ``weights`` (in layer order),
+    each with its own seeded stream, and a seeded Gaussian head."""
+    adapters = [_make_adapter(cfg.adapter_kind, w, cfg.rank,
+                              substream(seed, "adapter", b, layer), reg)
+                for (b, layer), w in zip(_layers(cfg), weights)]
+    head_w = 0.02 * substream(seed, "head").standard_normal((head_dim, cfg.dim))
+    return ToyModel(cfg, adapters, head_w, np.zeros(head_dim))
 
 
 def init_model(cfg: BackboneConfig, seed, head_dim=2, reg=None):
     """Fresh model with seeded Gaussian weights wrapped in cfg.adapter_kind."""
     n = cfg.dim
-    blocks = []
-    for b in range(cfg.depth):
-        block = {}
-        for layer in BLOCK_LAYERS[cfg.kind]:
-            rng = substream(seed, "block", b, layer)
-            w = 0.5 * rng.standard_normal((n, n)) / math.sqrt(n)
-            block[layer] = _make_adapter(cfg.adapter_kind, w, cfg.rank, substream(seed, "adapter", b, layer), reg)
-        blocks.append(block)
-    head_rng = substream(seed, "head")
-    head_w = 0.02 * head_rng.standard_normal((head_dim, n))
-    head_b = np.zeros(head_dim)
-    return ToyModel(cfg, blocks, head_w, head_b)
+    weights = [0.5 * substream(seed, "block", b, layer).standard_normal((n, n)) / math.sqrt(n)
+               for b, layer in _layers(cfg)]
+    return _build(cfg, weights, seed, reg, head_dim)
 
 
 def adapt_model(pretrained: ToyModel, regime, rank, seed, reg=None, head_dim=2):
@@ -180,27 +181,8 @@ def adapt_model(pretrained: ToyModel, regime, rank, seed, reg=None, head_dim=2):
     fine-tuning regime, with a new seeded classification head."""
     if regime not in REGIMES:
         raise ConfigError(f"unknown regime {regime!r}")
-    kind = _REGIME_TO_KIND[regime]
-    cfg = BackboneConfig(
-        kind=pretrained.cfg.kind,
-        dim=pretrained.cfg.dim,
-        depth=pretrained.cfg.depth,
-        seq_len=pretrained.cfg.seq_len,
-        adapter_kind=kind,
-        rank=rank,
-    )
-    weights = iter(pretrained.stack.effective_weight())
-    blocks = []
-    for b in range(cfg.depth):
-        new_block = {}
-        for layer in BLOCK_LAYERS[cfg.kind]:
-            new_block[layer] = _make_adapter(kind, next(weights), rank,
-                                             substream(seed, "adapter", b, layer), reg)
-        blocks.append(new_block)
-    head_rng = substream(seed, "head")
-    head_w = 0.02 * head_rng.standard_normal((head_dim, cfg.dim))
-    head_b = np.zeros(head_dim)
-    return ToyModel(cfg, blocks, head_w, head_b)
+    cfg = replace(pretrained.cfg, adapter_kind=_REGIME_TO_KIND[regime], rank=rank)
+    return _build(cfg, pretrained.stack.effective_weight(), seed, reg, head_dim)
 
 
 def _softmax_parts(z):
@@ -243,7 +225,7 @@ def _forward(model: ToyModel, xa, train=False):
     cache = {"x": xa, "blocks": [], "weights": weights} if train else None
     if model.cfg.kind == "mlp":
         h = xa
-        for b in range(len(model.blocks)):
+        for b in range(model.cfg.depth):
             z = h @ weights[b].T
             h_new = np.tanh(z)
             if not np.isfinite(h_new).all():
@@ -256,7 +238,7 @@ def _forward(model: ToyModel, xa, train=False):
         groups = xa.shape[0] // L
         h = xa.reshape(groups, L, n)
         inv_sqrt = 1.0 / math.sqrt(n)
-        for b in range(len(model.blocks)):
+        for b in range(model.cfg.depth):
             wq, wk, wv, wo = weights[4 * b:4 * b + 4]
             q = h @ wq.T
             k = h @ wk.T
@@ -358,7 +340,7 @@ def _backward(model: ToyModel, dlogits):
 
     if model.cfg.kind == "mlp":
         dh = dfeat
-        for b in range(len(model.blocks) - 1, -1, -1):
+        for b in range(model.cfg.depth - 1, -1, -1):
             blk = cache["blocks"][b]
             dz = dh * (1.0 - blk["h_out"] ** 2)
             dw[b] = dz.T @ blk["h_in"]
@@ -366,7 +348,7 @@ def _backward(model: ToyModel, dlogits):
     else:
         inv_sqrt = 1.0 / math.sqrt(n)
         dh = np.repeat(dfeat[:, None, :] / L, L, axis=1)
-        for b in range(len(model.blocks) - 1, -1, -1):
+        for b in range(model.cfg.depth - 1, -1, -1):
             blk = cache["blocks"][b]
             h_in, q, k, v, p, ctx = (blk[key] for key in ("h_in", "q", "k", "v", "p", "ctx"))
             wq, wk, wv, wo = weights[4 * b:4 * b + 4]
@@ -398,41 +380,40 @@ def save_model(model: ToyModel, directory, extra=None):
         adapter.save(d / "adapters" / name)
     write_emx(d / "head_w.emx", model.head_w)
     write_emx(d / "head_b.emx", model.head_b.reshape(-1, 1))
-    manifest = {"format": "orthoadapt-checkpoint-v1", "backbone": asdict(model.cfg)}
+    manifest = {"format": CHECKPOINT_FORMAT, "backbone": asdict(model.cfg)}
     if extra:
         manifest.update(extra)
     (d / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 def load_model(directory):
-    """Restore a checkpoint written by ``save_model``. FormatError when a
-    tensor's shape or an adapter's kind disagrees with the manifest's
-    ``backbone``."""
+    """Restore a checkpoint written by ``save_model``. FormatError when the
+    manifest's ``format`` is not ``CHECKPOINT_FORMAT``, or a tensor's shape
+    or an adapter's kind disagrees with the manifest's ``backbone``."""
     d = Path(directory)
     manifest = read_manifest(d, "checkpoint")
+    if manifest.get("format") != CHECKPOINT_FORMAT:
+        raise FormatError(f"{d}: checkpoint format {manifest.get('format')!r}, "
+                          f"expected {CHECKPOINT_FORMAT!r}")
     try:
         cfg = BackboneConfig(**manifest.get("backbone"))
     except (TypeError, ConfigError) as exc:
         raise FormatError(f"{d}: bad backbone in checkpoint manifest: {exc}") from exc
-    blocks = []
-    for b in range(cfg.depth):
-        block = {}
-        for layer in BLOCK_LAYERS[cfg.kind]:
-            name = f"block{b}.{layer}"
-            adapter = load_adapter(d / "adapters" / name)
-            if adapter.kind != cfg.adapter_kind or adapter.n != cfg.dim:
-                raise FormatError(
-                    f"{d}: adapter {name} is {adapter.kind} of size {adapter.n}, the backbone "
-                    f"expects {cfg.adapter_kind} of size {cfg.dim}")
-            block[layer] = adapter
-        blocks.append(block)
+    adapters = []
+    for name in _names(cfg):
+        adapter = load_adapter(d / "adapters" / name)
+        if adapter.kind != cfg.adapter_kind or adapter.n != cfg.dim:
+            raise FormatError(
+                f"{d}: adapter {name} is {adapter.kind} of size {adapter.n}, the backbone "
+                f"expects {cfg.adapter_kind} of size {cfg.dim}")
+        adapters.append(adapter)
     head_w = read_emx(d / "head_w.emx")
     head_b = read_emx(d / "head_b.emx").reshape(-1)
     if head_w.shape[1] != cfg.dim or head_b.shape != head_w.shape[:1]:
         raise FormatError(f"{d}: head shapes {head_w.shape} and {head_b.shape} do not fit "
                           f"a ({head_w.shape[0]}, {cfg.dim}) head with one bias per class")
     try:
-        model = ToyModel(cfg, blocks, head_w, head_b)
+        model = ToyModel(cfg, adapters, head_w, head_b)
     except ValidationError as exc:
         raise FormatError(f"{d}: {exc}") from exc
     return model, manifest

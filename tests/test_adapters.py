@@ -1,6 +1,7 @@
 """Adapter parameterizations: forward maps, regularizers, exact gradients."""
 
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -351,6 +352,16 @@ class TestCounts:
         assert FullAdapter(np.eye(4)).count_trainable() == 16
 
 
+# the on-disk layout of each kind: its EMX file stems and its manifest fields
+# beyond "kind" and "n"; checkpoints written before must keep loading
+SAVED_LAYOUT = {
+    "svd": ("u_r s_r v_r u s v", "r lambda1 lambda2 frozen_frob_sq"),
+    "lora": ("w0 a b", "r scale"),
+    "full": ("w", "r"),
+    "frozen": ("w", "r"),
+}
+
+
 class TestSerialization:
     @pytest.mark.parametrize("kind", ["svd", "lora", "full", "frozen"])
     def test_round_trip_bytes(self, tmp_path, kind):
@@ -369,6 +380,10 @@ class TestSerialization:
         d1 = tmp_path / "a"
         d2 = tmp_path / "b"
         ad.save(d1)
+        stems, fields = SAVED_LAYOUT[kind]
+        assert sorted(f.name for f in d1.iterdir()) == sorted(
+            [f"{stem}.emx" for stem in stems.split()] + ["manifest.json"])
+        assert set(json.loads((d1 / "manifest.json").read_text())) == {"kind", "n", *fields.split()}
         back = load_adapter(d1)
         assert back.kind == kind
         np.testing.assert_array_equal(back.effective_weight(), ad.effective_weight())

@@ -185,8 +185,13 @@ class TestFinetune:
         lambda ck, manifest: cut_emx(ck / "head_b.emx", 3, None),
         lambda ck, manifest: manifest["backbone"].update(adapter_kind="frozen"),
         lambda ck, manifest: manifest["backbone"].update(dim=8),
+        lambda ck, manifest: manifest.pop("format"),
+        lambda ck, manifest: manifest.update(format="orthoadapt-checkpoint-v0"),
+        lambda ck, manifest: (ck / "adapters" / "block0.q" / "manifest.json").write_text(""),
+        lambda ck, manifest: (ck / "head_w.emx").write_bytes((ck / "head_w.emx").read_bytes()[:-3]),
     ], ids=["emx_deleted", "no_backbone", "backbone_not_object", "backbone_mistyped",
-            "adapter_w_cut", "head_w_cut", "head_b_cut", "kind_mismatch", "dim_mismatch"])
+            "adapter_w_cut", "head_w_cut", "head_b_cut", "kind_mismatch", "dim_mismatch",
+            "format_dropped", "format_wrong", "adapter_manifest_emptied", "head_w_truncated"])
     def test_damaged_checkpoint(self, tmp_path, config_path, checkpoint, capsys, damage):
         manifest = json.loads((checkpoint / "manifest.json").read_text())
         damage(checkpoint, manifest)
@@ -197,6 +202,25 @@ class TestFinetune:
         err = capsys.readouterr().err
         assert rc == 1
         assert str(checkpoint) in err and "Traceback" not in err
+
+
+# each value once ended in a traceback, an exit 0 on NaN data, or a crash
+# deep inside data generation or pretraining
+@pytest.mark.parametrize("section,field,value", [
+    ("pretrain", "eval_every", 0), ("pretrain", "batch", 0), ("pretrain", "max_iters", -1),
+    ("pretrain", "lr", -0.001), ("spec", "samples_per_split", -3), ("spec", "perturb_rank", 0),
+    ("spec", "cluster_mean_scale", 0), ("spec", "method_overlap", 2.0),
+    ("spec", "mean_align", -1.0), ("backbone", "kind", ["mlp"]),
+])
+def test_config_value_out_of_range(tmp_path, capsys, section, field, value):
+    cfg = json.loads(json.dumps(TINY_CONFIG))
+    cfg[section][field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    rc = main(["pretrain", "--config", str(bad), "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert field in err and "Traceback" not in err
 
 
 class TestSweep:
@@ -297,6 +321,15 @@ class TestSvdSplitAnalyze:
         bad.write_bytes(b"XXXX" + b"\x00" * 24)
         rc = main(["svd-split", str(bad), "--rank", "1", "--out", str(tmp_path / "o")])
         assert rc == 1
+
+    @pytest.mark.parametrize("command", [["analyze"], ["svd-split", "--rank", "1"]])
+    def test_zero_dimension_header(self, tmp_path, capsys, command):
+        bad = tmp_path / "zero.emx"
+        bad.write_bytes(b"EMX1" + (2**63).to_bytes(8, "little") + bytes(8))
+        rc = main([command[0], str(bad), *command[1:], "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "zero dimension" in err and "Traceback" not in err
 
     def test_analyze_rank_one(self, tmp_path):
         rng = np.random.default_rng(1)

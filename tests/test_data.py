@@ -49,6 +49,9 @@ class TestMethods:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValidationError):
             FakeMethod(id=0, u=np.ones((4, 1)), v=np.ones((4, 1)) / 2.0, gamma=1.0)
+        nan_basis = np.full((4, 1), np.nan)
+        with pytest.raises(ValidationError):
+            FakeMethod(id=0, u=nan_basis, v=nan_basis, gamma=1.0)
 
     def test_uniform_amplitude_direction(self):
         spec = small_spec(amplitude_spread=0.0)

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from orthoadapt.emx import MAGIC, read_emx, write_emx
 from orthoadapt.errors import FormatError, ValidationError
@@ -51,3 +53,36 @@ def test_rejects_non_finite(tmp_path):
     bad[0, 0] = np.inf
     with pytest.raises(ValidationError):
         write_emx(tmp_path / "x.emx", bad)
+
+
+@pytest.mark.parametrize("rows,cols", [(2**63, 0), (0, 2**63), (0, 0), (0, 5)])
+def test_zero_dimension_header(tmp_path, rows, cols):
+    p = tmp_path / "z.emx"
+    p.write_bytes(MAGIC + struct.pack("<QQ", rows, cols))
+    with pytest.raises(FormatError, match="zero dimension"):
+        read_emx(p)
+
+
+# small counts, the edges of the 64-bit field, and anything in between
+_DIMS = st.one_of(st.integers(0, 3), st.sampled_from([2**32, 2**61, 2**63, 2**64 - 1]),
+                  st.integers(0, 2**64 - 1))
+# none, whole float64 values (NaN and infinities included), or stray bytes
+_PAYLOADS = st.one_of(
+    st.just(b""),
+    st.lists(st.floats(), max_size=8).map(lambda v: np.array(v, dtype="<f8").tobytes()),
+    st.binary(max_size=40))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.just(MAGIC), st.binary(min_size=4, max_size=4)), _DIMS, _DIMS, _PAYLOADS)
+def test_random_header_reads_or_raises_format_error(tmp_path, magic, rows, cols, payload):
+    """Any 20-byte header with a short payload either reads back as the
+    (rows, cols) matrix it declares or raises FormatError, nothing else."""
+    p = tmp_path / "r.emx"
+    p.write_bytes(magic + struct.pack("<QQ", rows, cols) + payload)
+    try:
+        a = read_emx(p)
+    except FormatError:
+        return
+    assert a.shape == (rows, cols) and np.isfinite(a).all()

@@ -151,7 +151,7 @@ class TestTrain:
         spec, model, ds = tiny_world()
         before = {k: v.copy() for k, v in model.trainable().items()}
         report = train(model, ds, TrainConfig(iters=0, seed=0))
-        assert report.iters == []
+        assert list(report.iters) == []
         for k, v in model.trainable().items():
             np.testing.assert_array_equal(v, before[k])
 
@@ -185,8 +185,8 @@ class TestTrain:
         spec, model, ds = tiny_world()
         cfg = TrainConfig(iters=10, lambda1=0.0, lambda2=0.0, seed=0)
         report = train(model, ds, cfg)
-        assert report.orth_loss == [0.0] * 10
-        assert report.sv_loss == [0.0] * 10
+        assert list(report.orth_loss) == [0.0] * 10
+        assert list(report.sv_loss) == [0.0] * 10
 
     def test_frozen_part_immutable_over_run(self):
         spec, model, ds = tiny_world()
@@ -226,7 +226,7 @@ class TestTrain:
             report = train(model, ds, TrainConfig(iters=20, lr=1e200, regime="fft", seed=0),
                            eval_sets=eval_sets, rank_set=semantic_shards(spec, 4)[1])
         assert report.error.startswith("diverged at iteration 1: non-finite activations")
-        assert report.iters == [0]
+        assert list(report.iters) == [0]
         assert report.rank_before is not None and report.rank_after is None
         assert report.final_metrics == {}
 

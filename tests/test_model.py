@@ -44,7 +44,7 @@ class TestForward:
 
     def test_constant_logits_with_zero_weights(self):
         model = init_model(mlp_cfg(dim=4), seed=0)
-        model.blocks[0]["w"].w[:] = 0.0
+        dict(model.adapters())["block0.w"].w[:] = 0.0
         model.head_w[:] = 0.0
         model.head_b[:] = (0.25, -1.5)
         logits, _ = model_forward(model, np.random.default_rng(2).standard_normal((5, 4)))
@@ -54,7 +54,7 @@ class TestForward:
         model = init_model(mlp_cfg(dim=4), seed=3)
         x = np.random.default_rng(4).standard_normal((6, 4))
         logits, feats = model_forward(model, x)
-        w = model.blocks[0]["w"].effective_weight()
+        w = dict(model.adapters())["block0.w"].effective_weight()
         h = np.tanh(x @ w.T)
         expect = h @ model.head_w.T + model.head_b
         np.testing.assert_allclose(feats, h, atol=1e-12)

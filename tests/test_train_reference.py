@@ -121,14 +121,14 @@ def ref_forward(model, x):
     n, L = model.dim, model.seq_len
     if model.cfg.kind == "mlp":
         h = x
-        for b in range(len(model.blocks)):
+        for b in range(model.cfg.depth):
             h_new = np.tanh(h @ weights[f"block{b}.w"].T)
             blocks.append({"h_in": h, "h_out": h_new})
             h = h_new
         features = h
     else:
         h = x.reshape(x.shape[0] // L, L, n)
-        for b in range(len(model.blocks)):
+        for b in range(model.cfg.depth):
             wq, wk, wv, wo = (weights[f"block{b}.{k}"] for k in ("q", "k", "v", "out"))
             q, k, v = h @ wq.T, h @ wk.T, h @ wv.T
             p = ref_softmax(np.einsum("gid,gjd->gij", q, k) * (1.0 / math.sqrt(n)))
@@ -157,7 +157,7 @@ def ref_backward(model, cache, dlog):
     n, L = model.dim, model.seq_len
     if model.cfg.kind == "mlp":
         dh = dfeat
-        for b in range(len(model.blocks) - 1, -1, -1):
+        for b in range(model.cfg.depth - 1, -1, -1):
             blk = cache["blocks"][b]
             dz = dh * (1.0 - blk["h_out"] ** 2)
             put(f"block{b}.w", dz.T @ blk["h_in"])
@@ -165,7 +165,7 @@ def ref_backward(model, cache, dlog):
     else:
         inv_sqrt = 1.0 / math.sqrt(n)
         dh = np.repeat(dfeat[:, None, :] / L, L, axis=1)
-        for b in range(len(model.blocks) - 1, -1, -1):
+        for b in range(model.cfg.depth - 1, -1, -1):
             h_in, q, k, v, p, ctx = (cache["blocks"][b][key]
                                      for key in ("h_in", "q", "k", "v", "p", "ctx"))
             dctx = dh @ weights[f"block{b}.out"]
