@@ -56,9 +56,7 @@ class SyntheticSpec:
     amplitude_noise: float = 0.15
     amplitude_spread: float = 0.5
     noise_spread: float = 0.85
-    artifact_noise: float = 0.0
     cluster_noise: np.ndarray = field(init=False, repr=False)
-    artifact_noise_dirs: np.ndarray = field(init=False, repr=False)
     fake_methods: list = field(default=None)
     cluster_means: np.ndarray = field(init=False, repr=False)
     amplitude_dir: np.ndarray = field(init=False, repr=False)
@@ -88,18 +86,15 @@ class SyntheticSpec:
         self.cluster_noise = self.noise_sigma * (
             1.0 + self.noise_spread * rng.uniform(-1.0, 1.0, size=self.clusters)
         )
-        self.artifact_noise_dirs = np.zeros((self.dim, 0))
         if self.fake_methods is None:
             self.fake_methods = default_fake_methods(self)
-        if self.holdout_methods < 0 or self.holdout_methods >= len(self.fake_methods) + 1:
-            raise ConfigError("holdout_methods out of range")
+        if not 0 <= self.holdout_methods < len(self.fake_methods):
+            raise ConfigError(f"holdout_methods must lie in [0, {len(self.fake_methods)}), "
+                              "leaving at least one seen fake method")
 
     @property
     def seen_methods(self):
-        k = len(self.fake_methods) - self.holdout_methods
-        if k < 1:
-            raise ConfigError("no seen fake methods left after holdout")
-        return self.fake_methods[:k]
+        return self.fake_methods[: len(self.fake_methods) - self.holdout_methods]
 
     @property
     def unseen_methods(self):
@@ -149,7 +144,6 @@ def default_fake_methods(spec: SyntheticSpec):
     ca = np.sqrt(spec.mean_align)
     cb = np.sqrt(1.0 - spec.mean_align)
     gram = means @ means.T
-    spec.artifact_noise_dirs = u_frame[:, p:]  # method-specific directions
     methods = []
     for i in range(m):
         own_u = u_frame[:, p * (i + 1) : p * (i + 2)]
@@ -201,18 +195,11 @@ def gen_dataset(spec: SyntheticSpec, split, seq_len=1):
     n = spec.dim
     damp = (1.0 - spec.amplitude_noise) * spec.amplitude_dir
 
-    own_dirs = spec.artifact_noise_dirs
-
     def draw_real(rows, tag):
-        # Cluster sample; noise is damped along the amplitude direction, its
-        # scale varies per cluster (some semantic clusters are much noisier),
-        # and the method-specific artifact directions are naturally noisy
-        # (the shared artifact direction stays clean).
+        # Cluster sample; noise is damped along the amplitude direction and
+        # its scale varies per cluster (some semantic clusters are much noisier).
         g = rng.standard_normal((rows, n))
         noise = g - np.outer(g @ spec.amplitude_dir, damp)
-        if spec.artifact_noise > 0.0 and own_dirs.shape[1]:
-            extra = rng.standard_normal((rows, own_dirs.shape[1]))
-            noise = noise + spec.artifact_noise * extra @ own_dirs.T
         return spec.cluster_means[tag] + spec.cluster_noise[tag] * noise
 
     if split == "pretrain":

@@ -32,12 +32,12 @@ from .model import (
     REGIMES,
     BackboneConfig,
     ToyModel,
-    _backward,
     _forward,
     _softmax,
     adapt_model,
     cls_loss_and_grad,
     init_model,
+    model_backward,
     model_forward,
 )
 from .adapters import RegularizerWeights
@@ -176,7 +176,7 @@ def _views(buffer, like):
 class _FlatParams:
     """Every trainable tensor of a model as a view into one float64 buffer.
 
-    The buffer is laid out key by key of ``model.stacked_trainable()``, so each
+    The buffer is laid out key by key of ``model.trainable()``, so each
     adapter stack and each head tensor is one view, and the model is rebound
     to those views. A training step writes its gradients into the matching
     views of ``grad`` and updates all tensors with one elementwise
@@ -184,18 +184,18 @@ class _FlatParams:
     """
 
     def __init__(self, model: ToyModel):
-        params = model.stacked_trainable()
+        params = model.trainable()
         self.flat = np.concatenate([p.ravel() for p in params.values()])
         self.grad = np.zeros_like(self.flat)
         model.bind_trainable(_views(self.flat, params))
         self.grads = _views(self.grad, params)
-        self._named_grads = model.named(self.grads)
+        self._names = [name for name, _ in model.adapters()]
         self._state = {}
 
     def step(self, grads, lr, t, extra=None):
         """One Adam update from ``grads`` plus ``extra``, both keyed like
-        ``model.stacked_trainable()``; a key missing from ``grads`` counts as
-        zero."""
+        ``model.trainable()``; a key missing from ``grads`` counts as zero.
+        NumericalError naming the first non-finite tensor, before any update."""
         extra = extra or {}
         for key, view in self.grads.items():
             view[...] = grads.get(key, 0.0)
@@ -204,8 +204,11 @@ class _FlatParams:
         try:
             adam_step({"params": self.flat}, {"params": self.grad}, self._state, lr, t=t)
         except NumericalError:
-            bad = next(n for n, g in self._named_grads.items() if not np.isfinite(g).all())
-            raise NumericalError(f"non-finite gradient for {bad}") from None
+            key, g = next((k, g) for k, g in self.grads.items() if not np.isfinite(g).all())
+            if not key.startswith("head."):  # name the first non-finite row
+                row = np.argmin(np.isfinite(g).reshape(len(g), -1).all(axis=1))
+                key = f"{self._names[row]}.{key}"
+            raise NumericalError(f"non-finite gradient for {key}") from None
 
 
 def roc_auc(scores, labels):
@@ -288,21 +291,14 @@ def _mean_over(values, m):
     return total
 
 
-def _stack_regularizers(model, lambda1, lambda2, weights=None):
-    """``_regularizers`` with its gradients keyed like
-    ``model.stacked_trainable()``: one ``reg_terms`` call on the model's
-    stacked svd adapter serves all m matrices. ``weights`` is the stacked
-    effective weight if the caller has it."""
+def _regularizers(model, lambda1, lambda2, weights=None):
+    """(orth_mean, sv_mean, gradients keyed like ``model.trainable()``) with
+    the 1/m averaging over the adapted matrices: one ``reg_terms`` call on the
+    model's stacked svd adapter serves all m. ``weights`` is the stacked
+    effective weight if the caller has it. Only meaningful for svd adapters."""
     m = len(model.stack.members)
     orth, sv, grads = model.stack.reg_terms(lambda1 / m, lambda2 / m, w_eff=weights)
     return _mean_over(orth, m), _mean_over(sv, m), grads
-
-
-def _regularizers(model, lambda1, lambda2):
-    """(orth_mean, sv_mean, per-parameter gradient dict) with the 1/m
-    averaging over the adapted matrices. Only meaningful for svd adapters."""
-    orth, sv, grads = _stack_regularizers(model, lambda1, lambda2)
-    return orth, sv, model.named(grads)
 
 
 def train(model: ToyModel, dataset: Dataset, cfg: TrainConfig,
@@ -341,7 +337,7 @@ def train(model: ToyModel, dataset: Dataset, cfg: TrainConfig,
             logits, _ = _forward(model, x, train=True)
             loss, real, fake, dlogits = cls_loss_and_grad(logits, y)
             if is_svd:
-                orth_mean, sv_mean, reg_grads = _stack_regularizers(
+                orth_mean, sv_mean, reg_grads = _regularizers(
                     model, cfg.lambda1, cfg.lambda2, model._cache["weights"])
             else:
                 orth_mean, sv_mean, reg_grads = 0.0, 0.0, {}
@@ -358,7 +354,7 @@ def train(model: ToyModel, dataset: Dataset, cfg: TrainConfig,
                 report.error = f"diverged at iteration {t - 1}"
                 break
 
-            params.step(_backward(model, dlogits), cfg.lr, t, extra=reg_grads)
+            params.step(model_backward(model, dlogits), cfg.lr, t, extra=reg_grads)
         except NumericalError as exc:
             report.error = f"diverged at iteration {t - 1}: {exc}"
             break
@@ -425,7 +421,7 @@ def pretrain(backbone: BackboneConfig, spec: SyntheticSpec, cfg: PretrainConfig 
         logits, _ = _forward(model, x, train=True)
         loss, _, _, dlogits = cls_loss_and_grad(logits, y)
         losses.append(loss)
-        params.step(_backward(model, dlogits), cfg.lr, t)
+        params.step(model_backward(model, dlogits), cfg.lr, t)
         iterations = t
         if t % cfg.eval_every == 0:
             accuracy = semantic_accuracy(model, eval_ds)

@@ -111,33 +111,15 @@ class ToyModel:
         """(name, adapter) pairs in layer order, named "block{b}.{layer}"."""
         return list(zip(_names(self.cfg), self.stack.members))
 
-    def stacked_trainable(self):
-        """Key -> live array for every trainable tensor: the stacked adapter
-        tensors under their keys ("u", "a", "w", ...), then "head.w" and
-        "head.b"."""
-        return {**self.stack.trainable(), "head.w": self.head_w, "head.b": self.head_b}
-
-    def named(self, stacked):
-        """Name -> array ("block0.q.u", ..., "head.w", "head.b") for a dict
-        keyed like ``stacked_trainable()``; adapter entries are views of the
-        stacks' rows."""
-        keys = [key for key in self.stack.trainable() if key in stacked]
-        out = {}
-        for i, (name, _) in enumerate(self.adapters()):
-            for key in keys:
-                out[f"{name}.{key}"] = stacked[key][i]
-        for key in ("head.w", "head.b"):
-            if key in stacked:
-                out[key] = stacked[key]
-        return out
-
     def trainable(self):
-        """Name -> live array for every trainable tensor, head included."""
-        return self.named(self.stacked_trainable())
+        """Key -> live array for every trainable tensor: the stacked adapter
+        tensors under their keys ("u", "a", "w", ...), one row per adapter in
+        ``adapters()`` order, then "head.w" and "head.b"."""
+        return {**self.stack.trainable(), "head.w": self.head_w, "head.b": self.head_b}
 
     def bind_trainable(self, arrays):
         """Replace every trainable tensor by the array of the same key in
-        ``arrays`` (the keys of ``stacked_trainable()``); each adapter's
+        ``arrays`` (the keys of ``trainable()``); each adapter's
         tensors become views of the new stacks."""
         self.stack.bind({key: arrays[key] for key in self.stack.trainable()})
         self.head_w = arrays["head.w"]
@@ -262,18 +244,18 @@ def _forward(model: ToyModel, xa, train=False):
     return logits, features
 
 
-def _loss_half(shifted, sums, y):
-    per_sample = np.log(sums[:, 0]) - shifted[np.arange(shifted.shape[0]), y]
-    loss = float(per_sample.mean())
-    real = float(per_sample[y == 0].mean()) if (y == 0).any() else float("nan")
-    fake = float(per_sample[y == 1].mean()) if (y == 1).any() else float("nan")
-    return loss, real, fake
-
-
-def _grad_half(e, sums, y):
-    p = e / sums
-    p[np.arange(e.shape[0]), y] -= 1.0
-    return p / e.shape[0]
+def _check_loss_inputs(logits, labels):
+    """(logits, labels) as arrays; ValidationError unless the batch is
+    non-empty and holds one label per logits row that indexes a column."""
+    z = check_matrix(logits, "logits")
+    y = np.asarray(labels)
+    if z.shape[0] == 0 or y.size == 0:
+        raise ValidationError("cls_loss needs a non-empty batch")
+    if y.shape != (z.shape[0],):
+        raise ValidationError(f"labels shape {y.shape} does not match logits {z.shape}")
+    if y.dtype.kind not in "iu" or y.min() < 0 or y.max() >= z.shape[1]:
+        raise ValidationError("labels must be integers indexing the logit columns")
+    return z, y
 
 
 def cls_loss(logits, labels):
@@ -282,47 +264,36 @@ def cls_loss(logits, labels):
     Returns (loss, real_loss, fake_loss); a per-class mean is nan when that
     class is absent from the batch.
     """
-    z = check_matrix(logits, "logits")
-    y = np.asarray(labels)
-    if z.shape[0] == 0 or y.size == 0:
-        raise ValidationError("cls_loss needs a non-empty batch")
-    if y.shape != (z.shape[0],):
-        raise ValidationError(f"labels shape {y.shape} does not match logits {z.shape}")
-    if y.min() < 0 or y.max() >= z.shape[1]:
-        raise ValidationError("labels out of range for logit columns")
-    shifted, _, sums = _softmax_parts(z)
-    return _loss_half(shifted, sums, y)
+    return cls_loss_and_grad(*_check_loss_inputs(logits, labels))[:3]
 
 
 def cls_loss_grad(logits, labels):
     """d(mean cross-entropy)/d(logits)."""
-    z = check_matrix(logits, "logits")
-    _, e, sums = _softmax_parts(z)
-    return _grad_half(e, sums, np.asarray(labels))
+    return cls_loss_and_grad(*_check_loss_inputs(logits, labels))[3]
 
 
 def cls_loss_and_grad(logits, labels):
-    """``cls_loss`` and ``cls_loss_grad`` from one softmax: (loss, real_loss,
-    fake_loss, dlogits), the same bits as the two calls. The inputs are not
-    checked: ``train`` and ``pretrain`` validate their dataset once, and
+    """(loss, real_loss, fake_loss, dlogits) from one softmax. The inputs are
+    not checked (``cls_loss`` and ``cls_loss_grad`` are the checked
+    front-ends): ``train`` and ``pretrain`` validate their dataset once, and
     labels from it index logit columns that exist."""
     y = np.asarray(labels)
     shifted, e, sums = _softmax_parts(logits)
-    return (*_loss_half(shifted, sums, y), _grad_half(e, sums, y))
+    rows = np.arange(e.shape[0])
+    per_sample = np.log(sums[:, 0]) - shifted[rows, y]
+    real = float(per_sample[y == 0].mean()) if (y == 0).any() else float("nan")
+    fake = float(per_sample[y == 1].mean()) if (y == 1).any() else float("nan")
+    p = e / sums
+    p[rows, y] -= 1.0
+    return float(per_sample.mean()), real, fake, p / e.shape[0]
 
 
 def model_backward(model: ToyModel, dlogits):
-    """Exact gradients of a loss with upstream dlogits, for every trainable
-    tensor (adapter factors and head), by name. Requires a cached training
-    forward, whose effective weights it reuses."""
-    return model.named(_backward(model, dlogits))
-
-
-def _backward(model: ToyModel, dlogits):
-    """``model_backward`` keyed like ``model.stacked_trainable()``: each
-    adapter gradient is one (m, ...) array. The weight gradients of all m
-    matrices are gathered layer by layer and mapped to the adapter tensors in
-    one ``weight_grad`` call."""
+    """Exact gradients of a loss with upstream dlogits, keyed like
+    ``model.trainable()``: each adapter gradient is one (m, ...) array. Requires
+    a cached training forward, whose effective weights it reuses; the weight
+    gradients of all m matrices are gathered layer by layer and mapped to the
+    adapter tensors in one ``weight_grad`` call."""
     cache = model._cache
     if cache is None:
         raise StateError("model_backward called without a cached forward pass")

@@ -210,7 +210,7 @@ class TestFinetune:
     ("pretrain", "eval_every", 0), ("pretrain", "batch", 0), ("pretrain", "max_iters", -1),
     ("pretrain", "lr", -0.001), ("spec", "samples_per_split", -3), ("spec", "perturb_rank", 0),
     ("spec", "cluster_mean_scale", 0), ("spec", "method_overlap", 2.0),
-    ("spec", "mean_align", -1.0), ("backbone", "kind", ["mlp"]),
+    ("spec", "mean_align", -1.0), ("backbone", "kind", ["mlp"]), ("spec", "holdout_methods", 3),
 ])
 def test_config_value_out_of_range(tmp_path, capsys, section, field, value):
     cfg = json.loads(json.dumps(TINY_CONFIG))

@@ -209,9 +209,23 @@ class TestTrain:
         spec, model, ds = tiny_world()
         params = _FlatParams(model)
         before = params.flat.copy()
-        grads = {key: np.zeros_like(p) for key, p in model.stacked_trainable().items()}
+        grads = {key: np.zeros_like(p) for key, p in model.trainable().items()}
         grads["v"][0, 1, 0] = np.nan  # row 0 of the stack is block0.w
         with pytest.raises(NumericalError, match="non-finite gradient for block0.w.v"):
+            params.step(grads, 0.1, 1)
+        assert params.flat.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("key,index,name", [("v", (1, 3, 0), "block1.w.v"),
+                                                ("head.b", (1,), "head.b")])
+    def test_flat_step_names_later_row_and_head(self, key, index, name):
+        # the name comes from the key and the first non-finite row of its stack
+        bb = BackboneConfig(kind="mlp", dim=16, depth=2, seq_len=1, adapter_kind="full")
+        model = adapt_model(init_model(bb, 0), "svd", 2, seed=0)
+        params = _FlatParams(model)
+        before = params.flat.copy()
+        grads = {k: np.zeros_like(p) for k, p in model.trainable().items()}
+        grads[key][index] = np.nan
+        with pytest.raises(NumericalError, match=f"non-finite gradient for {name}$"):
             params.step(grads, 0.1, 1)
         assert params.flat.tobytes() == before.tobytes()
 

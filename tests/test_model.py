@@ -114,9 +114,20 @@ class TestClsLoss:
         assert abs(real - per[y == 0].mean()) <= 1e-12
         assert abs(fake - per[y == 1].mean()) <= 1e-12
 
-    def test_empty_batch(self):
+    @pytest.mark.parametrize("fn", [cls_loss, cls_loss_grad], ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("logits,labels", [
+        (np.zeros((2, 2)), [-1, 0]),
+        (np.zeros((2, 2)), [2, 0]),
+        (np.zeros((2, 2)), [0.0, 1.0]),
+        (np.zeros((2, 2)), [0, 1, 0]),
+        (np.zeros((0, 2)), np.zeros(0, dtype=int)),
+    ], ids=["negative_label", "label_past_columns", "float_labels", "shape_mismatch",
+            "empty_batch"])
+    def test_rejects_bad_labels(self, fn, logits, labels):
+        # both front-ends share one check; a label of -1 once indexed the
+        # last column and one past the columns raised a bare IndexError
         with pytest.raises(ValidationError):
-            cls_loss(np.zeros((0, 2)), np.zeros(0, dtype=int))
+            fn(logits, labels)
 
 
 class TestBackward:
@@ -174,6 +185,23 @@ class TestBackward:
 
     def test_mlp_svd_with_regularizers(self):
         self.gradcheck(mlp_cfg(adapter_kind="svd", rank=2), lam1=0.7, lam2=0.9)
+
+    @pytest.mark.parametrize("regime", ["svd", "lora", "fft", "linear_probe"])
+    def test_one_key_space(self, regime):
+        # parameters, backward gradients and regularizer gradients share the
+        # keys of model.trainable(), each gradient shaped like its parameter
+        base = init_model(attn_cfg(depth=2), seed=7)
+        model = adapt_model(base, regime, 2, seed=8)
+        x = np.random.default_rng(9).standard_normal((8, 8))
+        logits, _ = model_forward(model, x, train=True)
+        params = model.trainable()
+        grads = model_backward(model, cls_loss_grad(logits, np.array([0, 1])))
+        assert grads.keys() == params.keys()
+        assert all(g.shape == params[key].shape for key, g in grads.items())
+        if regime == "svd":
+            reg = _regularizers(model, 0.5, 0.5)[2]
+            assert reg.keys() == params.keys() - {"head.w", "head.b"}
+            assert all(g.shape == params[key].shape for key, g in reg.items())
 
     def test_zero_upstream(self):
         model = init_model(mlp_cfg(), seed=1)

@@ -113,6 +113,14 @@ def ref_cls_loss_grad(z, y):
     return p / z.shape[0]
 
 
+def named_params(model):
+    """Name -> live array, one entry per tensor ("block0.q.u", ...,
+    "head.w", "head.b"): the keys of the per-tensor adam_step."""
+    params = {f"{name}.{key}": p
+              for name, a in model.adapters() for key, p in a.trainable().items()}
+    return {**params, "head.w": model.head_w, "head.b": model.head_b}
+
+
 def ref_forward(model, x):
     """Logits of a training forward; returns the cache for ref_backward."""
     layers = {name: a for name, a in model.adapters()}
@@ -209,7 +217,7 @@ def reference_train(model, dataset, cfg, eval_sets, rank_set, rank_threshold=0.9
     report.trainable_params = model.count_trainable()
     report.rank_before = effective_rank(evaluate(model, rank_set)[1],
                                         rank_threshold).effective_rank
-    params = model.trainable()
+    params = named_params(model)
     state = {}
     rng = substream(cfg.seed, "batches")
     for t in range(1, cfg.iters + 1):
@@ -241,7 +249,7 @@ def reference_pretrain(backbone, spec, cfg):
     bb = replace(backbone, adapter_kind="full")
     train_ds, eval_ds = semantic_shards(spec, bb.seq_len)
     model = init_model(bb, cfg.seed, head_dim=spec.clusters)
-    params = model.trainable()
+    params = named_params(model)
     state = {}
     rng = substream(cfg.seed, "pretrain-batches")
     losses, acc_trace = [], []
