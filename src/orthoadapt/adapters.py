@@ -118,14 +118,14 @@ class SvdResidualAdapter(_Adapter):
     _TENSORS = ("u", "s", "v", "_w_principal")
     _SPLIT = ("u_r", "s_r", "v_r", "u_nr", "s_nr", "v_nr")
 
-    def __init__(self, w, residual_rank, reg=None, label="weight"):
-        a = check_matrix(w, label)
+    def __init__(self, w, residual_rank, reg=None):
+        a = check_matrix(w, "weight")
         n, n2 = a.shape
         if n != n2:
-            raise ValidationError(f"{label} must be square, got {a.shape}")
+            raise ValidationError(f"weight must be square, got {a.shape}")
         if not 1 <= residual_rank <= n:
             raise ValidationError(f"residual rank {residual_rank} out of range [1, {n}]")
-        sp = split(svd(a, label), n - residual_rank)
+        sp = split(svd(a, "weight"), n - residual_rank)
         self._init_from_split(n, sp, reg)
 
     def _init_from_split(self, n, sp: SubspaceSplit, reg):
@@ -136,7 +136,7 @@ class SvdResidualAdapter(_Adapter):
         self.v = sp.v_nr.copy()
         self.reg = reg if reg is not None else RegularizerWeights()
         self.frozen_frob_sq = sp.frozen_frob_sq
-        self._w_principal = reconstruct(sp, "principal")
+        self._w_principal = reconstruct(sp)
         self._frozen_orth = None  # ||U_r^T U_r - I||^2 + ||V_r^T V_r - I||^2, set by reg_terms
         self._eye = np.eye(self.u.shape[1])
 
@@ -234,13 +234,16 @@ class SvdResidualAdapter(_Adapter):
         return cls.from_split(n, sp, RegularizerWeights(manifest["lambda1"], manifest["lambda2"]))
 
 
+LORA_INIT_STD = 0.02
+
+
 class LoraAdapter(_Adapter):
-    """Frozen base weight plus scale * b @ a with a Gaussian, b zero at init."""
+    """Frozen base weight plus scale * b @ a; a ~ N(0, LORA_INIT_STD^2), b = 0 at init."""
 
     kind = "lora"
     _TENSORS = ("w0", "a", "b")
 
-    def __init__(self, w, rank, rng, scale=1.0, init_std=0.02):
+    def __init__(self, w, rank, rng, scale=1.0):
         a = check_matrix(w, "weight")
         n, n2 = a.shape
         if n != n2:
@@ -249,7 +252,7 @@ class LoraAdapter(_Adapter):
             raise ValidationError(f"lora rank {rank} out of range [1, {n}]")
         self.n = n
         self.w0 = a.copy()
-        self.a = init_std * rng.standard_normal((rank, n))
+        self.a = LORA_INIT_STD * rng.standard_normal((rank, n))
         self.b = np.zeros((n, rank))
         self.scale = float(scale)
 
@@ -391,8 +394,3 @@ def _read(d, name, shape):
     if a.shape != want:
         raise FormatError(f"{d / name}: shape {a.shape}, expected {want}")
     return a.reshape(shape)
-
-
-def count_trainable(adapters, head_params=0):
-    """Total trainable parameters across adapters plus a classifier head."""
-    return int(sum(a.count_trainable() for a in adapters) + head_params)

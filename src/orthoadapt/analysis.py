@@ -53,26 +53,20 @@ def effective_rank(features, threshold=0.9, source="") -> RankReport:
                       threshold=threshold, source=source)
 
 
+ASYMMETRY_RATIO = 5.0  # real/fake loss ratio at which the fake class counts as locked in
+
+
 @dataclass
 class AsymmetryTrace:
     iters: np.ndarray
     real_loss: np.ndarray
     fake_loss: np.ndarray
     ratio: np.ndarray
-    threshold: float
-    crossing_iter: int = None  # first iteration with ratio >= threshold, if any
-
-    def to_csv(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["iter", "real_loss", "fake_loss", "ratio"])
-        for row in zip(self.iters, self.real_loss, self.fake_loss, self.ratio):
-            writer.writerow([int(row[0])] + [repr(float(v)) for v in row[1:]])
-        return buf.getvalue()
+    crossing_iter: int = None  # first iteration with ratio >= ASYMMETRY_RATIO, if any
 
 
-def asymmetry_trace(report, ratio_threshold=5.0, smooth=15) -> AsymmetryTrace:
-    """Per-class loss trend and the first iteration where real/fake >= threshold.
+def asymmetry_trace(report, smooth=15) -> AsymmetryTrace:
+    """Per-class loss trend and the first iteration where real/fake >= ASYMMETRY_RATIO.
 
     Batch-level class means at batch size 32 are dominated by sampling noise,
     so both series are smoothed with a running mean of ``smooth`` iterations
@@ -92,11 +86,11 @@ def asymmetry_trace(report, ratio_threshold=5.0, smooth=15) -> AsymmetryTrace:
         ratio = np.where(fake > 0, real / np.where(fake > 0, fake, 1.0), np.inf)
     ratio = np.where(np.isnan(real) | np.isnan(fake), np.nan, ratio)
     crossing = None
-    hits = np.nonzero(ratio >= ratio_threshold)[0]
+    hits = np.nonzero(ratio >= ASYMMETRY_RATIO)[0]
     if hits.size:
         crossing = int(iters[hits[0]])
     return AsymmetryTrace(iters=iters, real_loss=real, fake_loss=fake,
-                          ratio=ratio, threshold=ratio_threshold, crossing_iter=crossing)
+                          ratio=ratio, crossing_iter=crossing)
 
 
 @dataclass
@@ -108,11 +102,16 @@ class LogitLineFit:
     collapsed: bool
 
 
-def logit_line_fit(logits, slope_tol=0.2, residual_tol=0.03) -> LogitLineFit:
+COLLAPSE_SLOPE_TOL = 0.2
+COLLAPSE_RESIDUAL_TOL = 0.03
+
+
+def logit_line_fit(logits) -> LogitLineFit:
     """OLS of the fake-class logit on the real-class logit.
 
-    The collapse diagnostic fires when the slope is within ``slope_tol`` of -1
-    and the residual RMS is below ``residual_tol`` times the fake-logit spread:
+    The collapse diagnostic fires when the slope is within
+    ``COLLAPSE_SLOPE_TOL`` of -1 and the residual RMS is below
+    ``COLLAPSE_RESIDUAL_TOL`` times the fake-logit spread:
     predictions then lie on a single line y = -x + b, i.e. the model
     discriminates along one dimension. Cross-entropy heads conserve the logit
     sum under training, so any trained model sits near such a line; the
@@ -134,7 +133,8 @@ def logit_line_fit(logits, slope_tol=0.2, residual_tol=0.03) -> LogitLineFit:
     intercept = float(np.mean(y) - slope * np.mean(x))
     resid = y - (slope * x + intercept)
     residual_rms = float(math.sqrt(np.mean(resid * resid)))
-    collapsed = abs(slope + 1.0) <= slope_tol and residual_rms <= residual_tol * float(np.std(y))
+    collapsed = (abs(slope + 1.0) <= COLLAPSE_SLOPE_TOL
+                 and residual_rms <= COLLAPSE_RESIDUAL_TOL * float(np.std(y)))
     return LogitLineFit(slope=slope, intercept=intercept, residual_rms=residual_rms,
                         degenerate=False, collapsed=collapsed)
 

@@ -45,7 +45,7 @@ def _init_fields(cls, *skip):
 
 # the keys each config section accepts: the dataclasses' init fields, less
 # the ones a config file does not set
-_SECTIONS = {"spec": _init_fields(SyntheticSpec, "fake_methods"),
+_SECTIONS = {"spec": _init_fields(SyntheticSpec),
              "backbone": _init_fields(BackboneConfig, "adapter_kind", "rank"),
              "pretrain": _init_fields(PretrainConfig), "train": _init_fields(TrainConfig),
              "sweep": {"residual_ranks", "lora_ranks", "seeds"}}

@@ -57,7 +57,7 @@ class SyntheticSpec:
     amplitude_spread: float = 0.5
     noise_spread: float = 0.85
     cluster_noise: np.ndarray = field(init=False, repr=False)
-    fake_methods: list = field(default=None)
+    fake_methods: list = field(init=False, repr=False)
     cluster_means: np.ndarray = field(init=False, repr=False)
     amplitude_dir: np.ndarray = field(init=False, repr=False)
 
@@ -86,8 +86,7 @@ class SyntheticSpec:
         self.cluster_noise = self.noise_sigma * (
             1.0 + self.noise_spread * rng.uniform(-1.0, 1.0, size=self.clusters)
         )
-        if self.fake_methods is None:
-            self.fake_methods = default_fake_methods(self)
+        self.fake_methods = default_fake_methods(self)
         if not 0 <= self.holdout_methods < len(self.fake_methods):
             raise ConfigError(f"holdout_methods must lie in [0, {len(self.fake_methods)}), "
                               "leaving at least one seen fake method")
@@ -173,7 +172,6 @@ class Dataset:
     x: np.ndarray
     y: np.ndarray
     seq_len: int
-    split: str
     sources: np.ndarray = None
     method_ids: np.ndarray = None
 
@@ -209,7 +207,7 @@ def gen_dataset(spec: SyntheticSpec, split, seq_len=1):
             k = g % spec.clusters
             x[g * seq_len : (g + 1) * seq_len] = draw_real(seq_len, k)
             y[g] = k
-        return Dataset(x=x, y=y, seq_len=seq_len, split=split, sources=x.copy(),
+        return Dataset(x=x, y=y, seq_len=seq_len, sources=x.copy(),
                        method_ids=np.full(groups, -1, dtype=np.int64))
 
     methods = spec.seen_methods if split != "finetune_test_unseen" else spec.unseen_methods
@@ -230,5 +228,5 @@ def gen_dataset(spec: SyntheticSpec, split, seq_len=1):
             x[lo:hi] = method.apply(real)
             y[g] = 1
             method_ids[g] = method.id
-    return Dataset(x=x, y=y, seq_len=seq_len, split=split, sources=sources, method_ids=method_ids)
+    return Dataset(x=x, y=y, seq_len=seq_len, sources=sources, method_ids=method_ids)
 

@@ -88,6 +88,9 @@ class PretrainConfig:
             raise ConfigError("max_iters must be >= 0")
 
 
+RANK_THRESHOLD = 0.9  # variance fraction of the semantic-feature effective-rank probe
+
+
 @dataclass
 class ExperimentReport:
     """Per-iteration traces plus final metrics for one training run.
@@ -106,7 +109,7 @@ class ExperimentReport:
     final_metrics: dict = field(default_factory=dict)
     rank_before: int = None
     rank_after: int = None
-    rank_threshold: float = 0.9
+    rank_threshold: float = RANK_THRESHOLD
     trainable_params: int = 0
     error: str = None
 
@@ -135,9 +138,13 @@ class ExperimentReport:
         return json.dumps(self.summary(), sort_keys=True, indent=2) + "\n"
 
 
-def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8, t=1):
-    """One Adam update, in place. ``state`` maps names to (m, v) moment pairs
-    and is created lazily; missing gradients count as zero."""
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def adam_step(params, grads, state, lr, t=1):
+    """One Adam update, in place, with ``ADAM_BETA1``, ``ADAM_BETA2`` and
+    ``ADAM_EPS``. ``state`` maps names to (m, v) moment pairs and is created
+    lazily; missing gradients count as zero."""
     if t < 1:
         raise ValidationError("adam_step needs t >= 1")
     for name, p in params.items():
@@ -153,13 +160,13 @@ def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8, t=1):
         if name not in state:
             state[name] = (np.zeros_like(p), np.zeros_like(p))
         m, v = state[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params, state
 
 
@@ -301,18 +308,17 @@ def _regularizers(model, lambda1, lambda2, weights=None):
     return _mean_over(orth, m), _mean_over(sv, m), grads
 
 
-def train(model: ToyModel, dataset: Dataset, cfg: TrainConfig,
-          eval_sets=None, rank_set=None, rank_threshold=0.9):
+def train(model: ToyModel, dataset: Dataset, cfg: TrainConfig, eval_sets=None, rank_set=None):
     """Fine-tune ``model`` on ``dataset`` and report traces and final metrics.
 
     ``eval_sets`` maps names to binary datasets scored with AUC/accuracy after
-    training; ``rank_set`` supplies features for the effective-rank probe
-    before and after. Divergence (a non-finite loss, or a NumericalError from
-    non-finite activations or gradients) ends the run with the partial report
-    and an error flag instead of raising; after it, a final metric that cannot
-    be computed from the diverged weights is left out. A NumericalError in the
-    final metrics (features or their covariance not finite) also counts as
-    divergence.
+    training; ``rank_set`` supplies features for the effective-rank probe at
+    ``RANK_THRESHOLD`` before and after. Divergence (a non-finite loss, or a
+    NumericalError from non-finite activations or gradients) ends the run with
+    the partial report and an error flag instead of raising; after it, a final
+    metric that cannot be computed from the diverged weights is left out. A
+    NumericalError in the final metrics (features or their covariance not
+    finite) also counts as divergence.
     """
     expected_kind = _REGIME_TO_KIND[cfg.regime]
     kinds = {a.kind for _, a in model.adapters()}
@@ -320,11 +326,10 @@ def train(model: ToyModel, dataset: Dataset, cfg: TrainConfig,
         raise ValidationError(f"model adapters {kinds} do not match regime {cfg.regime!r}")
 
     report = ExperimentReport(config=asdict(cfg))
-    report.rank_threshold = rank_threshold
     report.trainable_params = model.count_trainable()
     if rank_set is not None:
         _, feats, _ = evaluate(model, rank_set)
-        report.rank_before = effective_rank(feats, rank_threshold).effective_rank
+        report.rank_before = effective_rank(feats, RANK_THRESHOLD).effective_rank
 
     _check_dataset(model, dataset, "training set")
     params = _FlatParams(model)
@@ -365,7 +370,7 @@ def train(model: ToyModel, dataset: Dataset, cfg: TrainConfig,
                 report.final_metrics[name] = binary_metrics(model, ds)
         if rank_set is not None:
             _, feats, _ = evaluate(model, rank_set)
-            report.rank_after = effective_rank(feats, rank_threshold).effective_rank
+            report.rank_after = effective_rank(feats, RANK_THRESHOLD).effective_rank
     except NumericalError as exc:
         if report.error is None:
             report.error = f"diverged after training: {exc}"
@@ -388,8 +393,8 @@ def semantic_shards(spec: SyntheticSpec, seq_len):
     """The pretraining split, split 80/20 into train and held-out shards."""
     ds = gen_dataset(spec, "pretrain", seq_len)
     cut = max(1, int(ds.groups * 0.8))
-    train_ds = Dataset(x=ds.x[: cut * seq_len], y=ds.y[:cut], seq_len=seq_len, split="pretrain")
-    eval_ds = Dataset(x=ds.x[cut * seq_len :], y=ds.y[cut:], seq_len=seq_len, split="pretrain")
+    train_ds = Dataset(x=ds.x[: cut * seq_len], y=ds.y[:cut], seq_len=seq_len)
+    eval_ds = Dataset(x=ds.x[cut * seq_len :], y=ds.y[cut:], seq_len=seq_len)
     return train_ds, eval_ds
 
 
@@ -439,8 +444,7 @@ def pretrain(backbone: BackboneConfig, spec: SyntheticSpec, cfg: PretrainConfig 
                           loss_trace=losses, accuracy_trace=acc_trace)
 
 
-def finetune_run(pretrained: ToyModel, spec: SyntheticSpec, cfg: TrainConfig,
-                 rank_threshold=0.9):
+def finetune_run(pretrained: ToyModel, spec: SyntheticSpec, cfg: TrainConfig):
     """Standard fine-tuning cell: adapt the backbone, train on the forgery
     task, evaluate seen/unseen splits and the semantic-feature rank."""
     seq_len = pretrained.seq_len
@@ -452,8 +456,7 @@ def finetune_run(pretrained: ToyModel, spec: SyntheticSpec, cfg: TrainConfig,
         "unseen": gen_dataset(spec, "finetune_test_unseen", seq_len),
     }
     _, semantic_eval = semantic_shards(spec, seq_len)
-    report = train(model, train_ds, cfg, eval_sets=eval_sets,
-                   rank_set=semantic_eval, rank_threshold=rank_threshold)
+    report = train(model, train_ds, cfg, eval_sets=eval_sets, rank_set=semantic_eval)
     return model, report
 
 
@@ -467,7 +470,10 @@ def rank_sweep(pretrained: ToyModel, spec: SyntheticSpec, base_cfg: TrainConfig,
                residual_ranks, lora_ranks, seeds):
     """Tab-of-cells comparison: svd at each residual rank, lora at each lora
     rank, plus fft and linear_probe baselines, for every seed. Per-cell errors
-    are recorded in the row and the sweep continues."""
+    are recorded in the row and the sweep continues; a spec that holds out
+    no fake method fails every cell's unseen split, so it raises ConfigError
+    before the first."""
+    spec.unseen_methods  # ConfigError if nothing is held out
     cells = [("svd", r) for r in residual_ranks]
     cells += [("lora", r) for r in lora_ranks]
     cells += [("fft", 0), ("linear_probe", 0)]

@@ -94,15 +94,10 @@ def split(f: SvdFactors, r: int) -> SubspaceSplit:
     )
 
 
-def reconstruct(sp: SubspaceSplit, part="both"):
-    """Rebuild the matrix from one or both sides of a split."""
-    if part == "principal":
-        return (sp.u_r * sp.s_r) @ sp.v_r.T
-    if part == "residual":
-        return (sp.u_nr * sp.s_nr) @ sp.v_nr.T
-    if part == "both":
-        return (sp.u_r * sp.s_r) @ sp.v_r.T + (sp.u_nr * sp.s_nr) @ sp.v_nr.T
-    raise ValidationError(f"unknown part {part!r}")
+def reconstruct(sp: SubspaceSplit):
+    """The principal part U_r diag(s_r) V_r^T of a split: the best rank-r
+    approximation of the split matrix."""
+    return (sp.u_r * sp.s_r) @ sp.v_r.T
 
 
 def frobenius_sq(m) -> float:

@@ -132,7 +132,7 @@ class ToyModel:
 DEFAULT_LORA_SCALE = 2.0
 
 
-def _make_adapter(kind, w, rank, rng, reg=None):
+def _make_adapter(kind, w, rank, rng, reg):
     if kind == "svd":
         return SvdResidualAdapter(w, rank, reg=reg)
     if kind == "lora":
@@ -150,21 +150,21 @@ def _build(cfg, weights, seed, reg, head_dim):
     return ToyModel(cfg, adapters, head_w, np.zeros(head_dim))
 
 
-def init_model(cfg: BackboneConfig, seed, head_dim=2, reg=None):
+def init_model(cfg: BackboneConfig, seed, head_dim=2):
     """Fresh model with seeded Gaussian weights wrapped in cfg.adapter_kind."""
     n = cfg.dim
     weights = [0.5 * substream(seed, "block", b, layer).standard_normal((n, n)) / math.sqrt(n)
                for b, layer in _layers(cfg)]
-    return _build(cfg, weights, seed, reg, head_dim)
+    return _build(cfg, weights, seed, reg=None, head_dim=head_dim)
 
 
-def adapt_model(pretrained: ToyModel, regime, rank, seed, reg=None, head_dim=2):
+def adapt_model(pretrained: ToyModel, regime, rank, seed, reg=None):
     """Wrap a trained backbone's effective weights in fresh adapters for a
-    fine-tuning regime, with a new seeded classification head."""
+    fine-tuning regime, with a new seeded real/fake classification head."""
     if regime not in REGIMES:
         raise ConfigError(f"unknown regime {regime!r}")
     cfg = replace(pretrained.cfg, adapter_kind=_REGIME_TO_KIND[regime], rank=rank)
-    return _build(cfg, pretrained.stack.effective_weight(), seed, reg, head_dim)
+    return _build(cfg, pretrained.stack.effective_weight(), seed, reg, head_dim=2)
 
 
 def _softmax_parts(z):

@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from orthoadapt.adapters import SvdResidualAdapter, count_trainable
+from orthoadapt.adapters import SvdResidualAdapter
 from orthoadapt.analysis import asymmetry_trace
 from orthoadapt.cli import main as cli_main
 from orthoadapt.experiment import _regularizers, accuracy_at_half, roc_auc
@@ -62,7 +62,7 @@ def test_criterion_02_eckart_young():
     for _ in range(20):
         m = rng.standard_normal((8, 8))
         sp = split(svd(m), 3)
-        best = frobenius_sq(m - reconstruct(sp, "principal"))
+        best = frobenius_sq(m - reconstruct(sp))
         for _ in range(200):
             cand = rng.standard_normal((8, 3)) @ rng.standard_normal((3, 8))
             if frobenius_sq(m - cand) < best - 1e-9:
@@ -137,12 +137,13 @@ def test_criterion_04_gradient_oracle():
 
 
 def test_criterion_05_parameter_accounting():
-    large = [SvdResidualAdapter.from_split(1024, make_identity_split(1024, 1))
-             for _ in range(96)]
-    small = [SvdResidualAdapter.from_split(768, make_identity_split(768, 1))
-             for _ in range(48)]
-    got_large = count_trainable(large, head_params=0)
-    got_small = count_trainable(small, head_params=0)
+    # counted one adapter at a time: all 144 held at once peak near 3 GB
+    def total(n, count):
+        return sum(SvdResidualAdapter.from_split(n, make_identity_split(n, 1)).count_trainable()
+                   for _ in range(count))
+
+    got_large = total(1024, 96)
+    got_small = total(768, 48)
     formula_large = 96 * (1024 - 1023) * (2 * 1024 + 1)
     formula_small = 48 * (768 - 767) * (2 * 768 + 1)
     ok = (got_large == 196_704 == formula_large

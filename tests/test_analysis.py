@@ -106,11 +106,6 @@ class TestAsymmetryTrace:
         tr = asymmetry_trace(rep, smooth=50)
         assert tr.ratio.shape[0] == 1
 
-    def test_csv(self):
-        rep = fake_report([1.0] * 20, [0.5] * 20)
-        text = asymmetry_trace(rep).to_csv()
-        assert text.splitlines()[0] == "iter,real_loss,fake_loss,ratio"
-
     def test_fft_crossing_within_first_fifth(self, experiment_bundle):
         # the naive regime locks onto the fake class early (world seed 7)
         report = experiment_bundle[7]["runs"]["fft"]["report"]

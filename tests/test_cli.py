@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -204,6 +205,68 @@ class TestFinetune:
         assert str(checkpoint) in err and "Traceback" not in err
 
 
+# The files of a TINY_CONFIG checkpoint that load_model reads, and the keys
+# it reads from their manifests. It reads neither the pretrain CSVs nor the
+# manifest's accuracy, iterations, spec and pretrain echoes, nor a full
+# adapter's "r": damage there goes unnoticed by design.
+_ADAPTER_DIRS = [f"adapters/block0.{layer}" for layer in ("q", "k", "v", "out")]
+_READ_FILES = ["manifest.json", "head_w.emx", "head_b.emx"] + [
+    f"{d}/{name}" for d in _ADAPTER_DIRS for name in ("manifest.json", "w.emx")]
+_READ_KEYS = [("manifest.json", key) for key in ("format", "backbone")] + [
+    (f"{d}/manifest.json", key) for d in _ADAPTER_DIRS for key in ("kind", "n")]
+_FILE_DAMAGE = {
+    "deleted": lambda p: p.unlink(),
+    "emptied": lambda p: p.write_bytes(b""),
+    "halved": lambda p: p.write_bytes(p.read_bytes()[:p.stat().st_size // 2]),
+    "garbled": lambda p: p.write_bytes(np.random.default_rng(0).bytes(p.stat().st_size)),
+}
+_MISTYPED = [None, "x", [], {}, -1, 1e300]
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    """A config file and the checkpoint ``pre`` that pretrain writes from it."""
+    root = tmp_path_factory.mktemp("pristine")
+    config, out = root / "config.json", root / "pre"
+    config.write_text(json.dumps(TINY_CONFIG))
+    assert main(["pretrain", "--config", str(config), "--out", str(out)]) == 0
+    files = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
+    assert files == {*_READ_FILES, "pretrain_trace.csv", "pretrain_accuracy.csv"}
+    return root
+
+
+def _finetune_damaged(pristine, tmp_path, capsys, damage):
+    ckpt = tmp_path / "pre"
+    shutil.copytree(pristine / "pre", ckpt)
+    damage(ckpt)
+    capsys.readouterr()
+    rc = main(["finetune", "--config", str(pristine / "config.json"), "--checkpoint", str(ckpt),
+               "--out", str(tmp_path / "ft")])
+    err = capsys.readouterr().err
+    assert rc in (1, 2)
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("how", sorted(_FILE_DAMAGE))
+@pytest.mark.parametrize("name", _READ_FILES)
+def test_checkpoint_file_damage(pristine, tmp_path, capsys, name, how):
+    _finetune_damaged(pristine, tmp_path, capsys, lambda ckpt: _FILE_DAMAGE[how](ckpt / name))
+
+
+@pytest.mark.parametrize("value", ["dropped"] + _MISTYPED, ids=str)
+@pytest.mark.parametrize("name,key", _READ_KEYS, ids=lambda v: v)
+def test_checkpoint_manifest_damage(pristine, tmp_path, capsys, name, key, value):
+    def damage(ckpt):
+        manifest = json.loads((ckpt / name).read_text())
+        if value == "dropped":
+            del manifest[key]
+        else:
+            manifest[key] = value
+        (ckpt / name).write_text(json.dumps(manifest))
+
+    _finetune_damaged(pristine, tmp_path, capsys, damage)
+
+
 # each value once ended in a traceback, an exit 0 on NaN data, or a crash
 # deep inside data generation or pretraining
 @pytest.mark.parametrize("section,field,value", [
@@ -221,6 +284,29 @@ def test_config_value_out_of_range(tmp_path, capsys, section, field, value):
     err = capsys.readouterr().err
     assert rc == 1
     assert field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["finetune", "sweep"])
+def test_no_holdout_stops_before_training(tmp_path, capsys, monkeypatch, command):
+    # pretrain scores no unseen split and accepts the spec; every finetune or
+    # sweep cell would fail on its unseen split
+    cfg = json.loads(json.dumps(TINY_CONFIG))
+    cfg["spec"]["holdout_methods"] = 0
+    path = tmp_path / "no_holdout.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["pretrain", "--config", str(path), "--out", str(tmp_path / "pre")]) == 0
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a cell started training")
+
+    monkeypatch.setattr("orthoadapt.experiment.train", no_training)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = main([command, "--config", str(path), "--checkpoint", str(tmp_path / "pre"),
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: no held-out fake method configured\n"
+    assert not any(out.iterdir())  # no summary.json, trace.csv or sweep.csv
 
 
 class TestSweep:
