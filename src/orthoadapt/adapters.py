@@ -235,6 +235,7 @@ class SvdResidualAdapter(_Adapter):
 
 
 LORA_INIT_STD = 0.02
+DEFAULT_LORA_SCALE = 2.0
 
 
 class LoraAdapter(_Adapter):
@@ -243,7 +244,7 @@ class LoraAdapter(_Adapter):
     kind = "lora"
     _TENSORS = ("w0", "a", "b")
 
-    def __init__(self, w, rank, rng, scale=1.0):
+    def __init__(self, w, rank, rng, scale=DEFAULT_LORA_SCALE):
         a = check_matrix(w, "weight")
         n, n2 = a.shape
         if n != n2:

@@ -139,7 +139,7 @@ def logit_line_fit(logits) -> LogitLineFit:
                         degenerate=False, collapsed=collapsed)
 
 
-def projection_export(features, k=2):
+def projection_export(features, k):
     """Coordinates of the samples on the top-k principal directions."""
     x = check_matrix(features, "features")
     if not 1 <= k <= x.shape[1]:

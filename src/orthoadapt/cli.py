@@ -142,6 +142,18 @@ def cmd_pretrain(args):
     return 0
 
 
+def _load_checkpoint(args, spec):
+    """The pretrained model and the ``--out`` directory of a fine-tuning
+    command. ``--out`` is created last, so a run whose checkpoint or spec
+    fails leaves no directory behind."""
+    ckpt = Path(args.checkpoint)
+    if not (ckpt / "manifest.json").exists():
+        raise NumericalError(f"checkpoint {ckpt} not found")
+    pretrained, _ = load_model(ckpt)
+    spec.unseen_methods  # ConfigError if nothing is held out
+    return pretrained, _prepare_out(args.out, args.force)
+
+
 def cmd_finetune(args):
     raw = load_config(args.config)
     spec, _, _, train_cfg, _ = build_config(raw, args.seed)
@@ -156,11 +168,7 @@ def cmd_finetune(args):
         overrides["lambda2"] = args.lambda2
     if overrides:
         train_cfg = replace(train_cfg, **overrides)
-    ckpt = Path(args.checkpoint)
-    if not (ckpt / "manifest.json").exists():
-        raise NumericalError(f"checkpoint {ckpt} not found")
-    out = _prepare_out(args.out, args.force)
-    pretrained, _ = load_model(ckpt)
+    pretrained, out = _load_checkpoint(args, spec)
     model, report = finetune_run(pretrained, spec, train_cfg)
     print(f"trainable parameters: {report.trainable_params}")
     (out / "trace.csv").write_text(report.trace_csv())
@@ -177,11 +185,7 @@ def cmd_finetune(args):
 def cmd_sweep(args):
     raw = load_config(args.config)
     spec, _, _, train_cfg, sweep_cfg = build_config(raw, args.seed)
-    ckpt = Path(args.checkpoint)
-    if not (ckpt / "manifest.json").exists():
-        raise NumericalError(f"checkpoint {ckpt} not found")
-    out = _prepare_out(args.out, args.force)
-    pretrained, _ = load_model(ckpt)
+    pretrained, out = _load_checkpoint(args, spec)
     rows = rank_sweep(
         pretrained, spec, train_cfg,
         residual_ranks=sweep_cfg.get("residual_ranks", [1, 2, 4]),

@@ -185,48 +185,43 @@ class Dataset:
 
 
 def gen_dataset(spec: SyntheticSpec, split, seq_len=1):
-    """Deterministic samples for one split; see module docstring."""
+    """Deterministic samples for one split; see module docstring.
+
+    One draw makes the whole split: group g holds the g-th seq_len x dim
+    block of the stream, the block a per-group draw would give it.
+    """
     if split not in SPLITS:
         raise ValidationError(f"unknown split {split!r}")
+    pretraining = split == "pretrain"
+    if not pretraining:
+        methods = spec.seen_methods if split != "finetune_test_unseen" else spec.unseen_methods
     rng = substream(spec.seed, "data", split, seq_len)
     groups = spec.samples_per_split
     n = spec.dim
     damp = (1.0 - spec.amplitude_noise) * spec.amplitude_dir
+    g = np.arange(groups)
+    tags = g % spec.clusters if pretraining else (g // 2) % spec.clusters
 
-    def draw_real(rows, tag):
-        # Cluster sample; noise is damped along the amplitude direction and
-        # its scale varies per cluster (some semantic clusters are much noisier).
-        g = rng.standard_normal((rows, n))
-        noise = g - np.outer(g @ spec.amplitude_dir, damp)
-        return spec.cluster_means[tag] + spec.cluster_noise[tag] * noise
+    # Cluster samples; noise is damped along the amplitude direction and its
+    # scale varies per cluster (some semantic clusters are much noisier).
+    # Products stay stacked, one (seq_len x n) BLAS call per group, because a
+    # flat (groups * seq_len, n) product rounds differently.
+    real = rng.standard_normal((groups, seq_len, n))
+    real -= (real @ spec.amplitude_dir)[..., None] * damp
+    real *= spec.cluster_noise[tags][:, None, None]
+    real += spec.cluster_means[tags][:, None, :]
+    sources = real.reshape(groups * seq_len, n)
 
-    if split == "pretrain":
-        x = np.empty((groups * seq_len, n))
-        y = np.empty(groups, dtype=np.int64)
-        for g in range(groups):
-            k = g % spec.clusters
-            x[g * seq_len : (g + 1) * seq_len] = draw_real(seq_len, k)
-            y[g] = k
-        return Dataset(x=x, y=y, seq_len=seq_len, sources=x.copy(),
+    if pretraining:
+        return Dataset(x=sources, y=tags, seq_len=seq_len, sources=sources,
                        method_ids=np.full(groups, -1, dtype=np.int64))
 
-    methods = spec.seen_methods if split != "finetune_test_unseen" else spec.unseen_methods
-    x = np.empty((groups * seq_len, n))
-    sources = np.empty_like(x)
-    y = np.empty(groups, dtype=np.int64)
+    x = real.copy()
     method_ids = np.full(groups, -1, dtype=np.int64)
-    for g in range(groups):
-        k = (g // 2) % spec.clusters
-        real = draw_real(seq_len, k)
-        lo, hi = g * seq_len, (g + 1) * seq_len
-        sources[lo:hi] = real
-        if g % 2 == 0:
-            x[lo:hi] = real
-            y[g] = 0
-        else:
-            method = methods[(g // 2) % len(methods)]
-            x[lo:hi] = method.apply(real)
-            y[g] = 1
-            method_ids[g] = method.id
-    return Dataset(x=x, y=y, seq_len=seq_len, sources=sources, method_ids=method_ids)
-
+    fake = g[1::2]
+    for i, method in enumerate(methods):
+        sel = fake[(fake // 2) % len(methods) == i]
+        x[sel] = method.apply(real[sel])
+        method_ids[sel] = method.id
+    return Dataset(x=x.reshape(groups * seq_len, n), y=g % 2, seq_len=seq_len,
+                   sources=sources, method_ids=method_ids)

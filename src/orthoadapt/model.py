@@ -129,14 +129,11 @@ class ToyModel:
         return int(self.head_w.size + self.head_b.size + self.stack.count_trainable())
 
 
-DEFAULT_LORA_SCALE = 2.0
-
-
 def _make_adapter(kind, w, rank, rng, reg):
     if kind == "svd":
         return SvdResidualAdapter(w, rank, reg=reg)
     if kind == "lora":
-        return LoraAdapter(w, rank, rng, scale=DEFAULT_LORA_SCALE)
+        return LoraAdapter(w, rank, rng)
     return KINDS[kind](w)
 
 

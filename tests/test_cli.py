@@ -203,6 +203,18 @@ class TestFinetune:
         err = capsys.readouterr().err
         assert rc == 1
         assert str(checkpoint) in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["finetune", "sweep"])
+    def test_damaged_checkpoint_leaves_no_out(self, tmp_path, config_path, checkpoint, capsys,
+                                              command):
+        (checkpoint / "head_w.emx").write_bytes(b"")
+        out = tmp_path / "nested" / "out"
+        rc = main([command, "--config", str(config_path), "--checkpoint", str(checkpoint),
+                   "--out", str(out)])
+        assert rc == 1
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "nested").exists()
 
 
 # The files of a TINY_CONFIG checkpoint that load_model reads, and the keys
@@ -306,7 +318,7 @@ def test_no_holdout_stops_before_training(tmp_path, capsys, monkeypatch, command
                "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == "error: no held-out fake method configured\n"
-    assert not any(out.iterdir())  # no summary.json, trace.csv or sweep.csv
+    assert not out.exists()
 
 
 class TestSweep:

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orthoadapt.data import FakeMethod, SyntheticSpec, gen_dataset
+from orthoadapt.data import SPLITS, Dataset, FakeMethod, SyntheticSpec, gen_dataset
 from orthoadapt.errors import ConfigError, ValidationError
 from orthoadapt.experiment import roc_auc
+from orthoadapt.seeding import substream
 
 
 def small_spec(**kw):
@@ -30,6 +33,76 @@ def pair_probe_auc(spec, split="finetune_test_seen"):
             u_top = -u_top
         scores.append(te.x @ u_top)
     return roc_auc(np.max(scores, axis=0), te.y)
+
+
+def per_group_gen_dataset(spec, split, seq_len=1):
+    """Reference generator: one draw and one set of products per group, in
+    group order. ``gen_dataset`` must reproduce its output bit for bit."""
+    if split not in SPLITS:
+        raise ValidationError(f"unknown split {split!r}")
+    rng = substream(spec.seed, "data", split, seq_len)
+    groups = spec.samples_per_split
+    n = spec.dim
+    damp = (1.0 - spec.amplitude_noise) * spec.amplitude_dir
+
+    def draw_real(rows, tag):
+        g = rng.standard_normal((rows, n))
+        noise = g - np.outer(g @ spec.amplitude_dir, damp)
+        return spec.cluster_means[tag] + spec.cluster_noise[tag] * noise
+
+    if split == "pretrain":
+        x = np.empty((groups * seq_len, n))
+        y = np.empty(groups, dtype=np.int64)
+        for g in range(groups):
+            k = g % spec.clusters
+            x[g * seq_len : (g + 1) * seq_len] = draw_real(seq_len, k)
+            y[g] = k
+        return Dataset(x=x, y=y, seq_len=seq_len, sources=x.copy(),
+                       method_ids=np.full(groups, -1, dtype=np.int64))
+
+    methods = spec.seen_methods if split != "finetune_test_unseen" else spec.unseen_methods
+    x = np.empty((groups * seq_len, n))
+    sources = np.empty_like(x)
+    y = np.empty(groups, dtype=np.int64)
+    method_ids = np.full(groups, -1, dtype=np.int64)
+    for g in range(groups):
+        k = (g // 2) % spec.clusters
+        real = draw_real(seq_len, k)
+        lo, hi = g * seq_len, (g + 1) * seq_len
+        sources[lo:hi] = real
+        if g % 2 == 0:
+            x[lo:hi] = real
+            y[g] = 0
+        else:
+            method = methods[(g // 2) % len(methods)]
+            x[lo:hi] = method.apply(real)
+            y[g] = 1
+            method_ids[g] = method.id
+    return Dataset(x=x, y=y, seq_len=seq_len, sources=sources, method_ids=method_ids)
+
+
+@st.composite
+def generator_cases(draw):
+    """A valid spec (every dim fits 8 clusters plus 5 rank-2 methods) and a
+    seq_len; samples_per_split includes 1, 2 and odd values."""
+    num_methods = draw(st.integers(2, 5))
+    spec = SyntheticSpec(
+        dim=draw(st.sampled_from([24, 32, 64])),
+        clusters=draw(st.integers(2, 8)),
+        perturb_rank=draw(st.integers(1, 2)),
+        num_methods=num_methods,
+        holdout_methods=draw(st.integers(0, num_methods - 1)),
+        samples_per_split=draw(st.one_of(st.integers(1, 9), st.integers(10, 300))),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    return spec, draw(st.integers(1, 8))
+
+
+def _outcome(fn, spec, split, seq_len):
+    try:
+        return fn(spec, split, seq_len)
+    except (ConfigError, ValidationError) as exc:
+        return type(exc)
 
 
 class TestMethods:
@@ -121,6 +194,23 @@ class TestGenDataset:
     def test_unknown_split(self):
         with pytest.raises(ValidationError):
             gen_dataset(small_spec(), "nope", 1)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(generator_cases())
+    def test_matches_per_group_generator(self, case):
+        spec, seq_len = case
+        for split in SPLITS + ("nope",):
+            got = _outcome(gen_dataset, spec, split, seq_len)
+            want = _outcome(per_group_gen_dataset, spec, split, seq_len)
+            if isinstance(want, type):
+                assert got is want, split
+                continue
+            assert isinstance(got, Dataset), split
+            assert got.seq_len == want.seq_len
+            for name in ("x", "y", "sources", "method_ids"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), (split, name)
+                assert a.tobytes() == b.tobytes(), (split, name)
 
 
 class TestSpecValidation:

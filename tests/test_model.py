@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthoadapt.adapters import FullAdapter
 from orthoadapt.errors import StateError, ValidationError
 from orthoadapt.experiment import _regularizers
 from orthoadapt.model import (
+    REGIMES,
     BackboneConfig,
     ToyModel,
     adapt_model,
@@ -86,6 +89,26 @@ class TestForward:
         scale = np.linalg.norm(outs["linear_probe"])
         assert np.linalg.norm(outs["svd"] - outs["linear_probe"]) <= 1e-8 * max(scale, 1.0)
         np.testing.assert_array_equal(outs["lora"], outs["linear_probe"])
+
+
+class TestFunctionPreservation:
+    """Every regime starts from the pretrained function: each adapted matrix's
+    effective weight at init is the pretrained one, to criterion 3's 1e-8."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from(REGIMES), st.sampled_from(["mlp", "attention"]),
+           st.integers(4, 12), st.integers(1, 2), st.data())
+    def test_effective_weights_at_init(self, regime, kind, dim, depth, data):
+        rank = data.draw(st.integers(1, dim), label="rank")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        cfg = BackboneConfig(kind=kind, dim=dim, depth=depth, seq_len=1 if kind == "mlp" else 3)
+        base = init_model(cfg, seed=seed)
+        model = adapt_model(base, regime, rank, seed=seed + 1)
+        before = base.stack.effective_weight()
+        after = model.stack.effective_weight()
+        assert after.shape == before.shape == (len(base.adapters()), dim, dim)
+        err = np.linalg.norm(after - before, axis=(1, 2)) / np.linalg.norm(before, axis=(1, 2))
+        assert err.max() <= 1e-8
 
 
 class TestClsLoss:
