@@ -54,6 +54,7 @@ def effective_rank(features, threshold=0.9, source="") -> RankReport:
 
 
 ASYMMETRY_RATIO = 5.0  # real/fake loss ratio at which the fake class counts as locked in
+SMOOTH = 15  # iterations in the running mean of the per-class losses
 
 
 @dataclass
@@ -65,18 +66,18 @@ class AsymmetryTrace:
     crossing_iter: int = None  # first iteration with ratio >= ASYMMETRY_RATIO, if any
 
 
-def asymmetry_trace(report, smooth=15) -> AsymmetryTrace:
+def asymmetry_trace(report) -> AsymmetryTrace:
     """Per-class loss trend and the first iteration where real/fake >= ASYMMETRY_RATIO.
 
     Batch-level class means at batch size 32 are dominated by sampling noise,
-    so both series are smoothed with a running mean of ``smooth`` iterations
+    so both series are smoothed with a running mean of ``SMOOTH`` iterations
     before the ratio is formed; the returned series are the smoothed ones and
     iteration i labels the window starting at raw iteration i. A vanishing
     fake loss counts as an infinite ratio.
     """
     real = np.asarray(report.real_loss, dtype=np.float64)
     fake = np.asarray(report.fake_loss, dtype=np.float64)
-    window = max(1, min(int(smooth), real.shape[0]))
+    window = max(1, min(SMOOTH, real.shape[0]))
     if window > 1:
         kernel = np.ones(window) / window
         real = np.convolve(real, kernel, mode="valid")

@@ -214,19 +214,17 @@ def _forward(model: ToyModel, xa, train=False):
             h = h_new
         features = h
     else:
-        groups = xa.shape[0] // L
-        h = xa.reshape(groups, L, n)
+        h = xa.reshape(-1, L, n)
         inv_sqrt = 1.0 / math.sqrt(n)
         for b in range(model.cfg.depth):
             wq, wk, wv, wo = weights[4 * b:4 * b + 4]
-            q = h @ wq.T
-            k = h @ wk.T
-            v = h @ wv.T
-            scores = np.einsum("gid,gjd->gij", q, k) * inv_sqrt
-            p = _softmax(scores)
-            ctx = np.einsum("gij,gjd->gid", p, v)
-            out = ctx @ wo.T
-            h_new = h + out
+            # one at a time, so the last block's q, k and v are freed as they go
+            q = _rows_matmul(h, wq.T)
+            k = _rows_matmul(h, wk.T)
+            v = _rows_matmul(h, wv.T)
+            p = _softmax((q @ k.swapaxes(1, 2)) * inv_sqrt)
+            ctx = p @ v
+            h_new = h + _rows_matmul(ctx, wo.T)
             if not np.isfinite(h_new).all():
                 raise NumericalError(f"non-finite activations in block {b}")
             if train:
@@ -303,7 +301,6 @@ def model_backward(model: ToyModel, dlogits):
     dw = np.empty_like(weights)
     head = {"head.w": dlog.T @ features, "head.b": dlog.sum(axis=0)}
     dfeat = dlog @ model.head_w
-    n = model.dim
     L = model.seq_len
 
     if model.cfg.kind == "mlp":
@@ -314,25 +311,27 @@ def model_backward(model: ToyModel, dlogits):
             dw[b] = dz.T @ blk["h_in"]
             dh = dz @ weights[b]
     else:
-        inv_sqrt = 1.0 / math.sqrt(n)
+        inv_sqrt = 1.0 / math.sqrt(model.dim)
         dh = np.repeat(dfeat[:, None, :] / L, L, axis=1)
         for b in range(model.cfg.depth - 1, -1, -1):
             blk = cache["blocks"][b]
             h_in, q, k, v, p, ctx = (blk[key] for key in ("h_in", "q", "k", "v", "p", "ctx"))
             wq, wk, wv, wo = weights[4 * b:4 * b + 4]
-            d_out = dh  # residual add: gradient flows to both terms
-            dctx = d_out @ wo
-            dw[4 * b + 3] = _flat_weight_grad(d_out, ctx)
-            dp = np.einsum("gid,gjd->gij", dctx, v)
-            dv = np.einsum("gij,gid->gjd", p, dctx)
+            dctx = _rows_matmul(dh, wo)  # the residual add passes dh to out and to h
+            dw[4 * b + 3] = _flat_weight_grad(dh, ctx)
+            dp = dctx @ v.swapaxes(1, 2)
+            dv = p.swapaxes(1, 2) @ dctx
             dscores = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
-            dq = np.einsum("gij,gjd->gid", dscores, k) * inv_sqrt
-            dk = np.einsum("gij,gid->gjd", dscores, q) * inv_sqrt
-            dw[4 * b] = _flat_weight_grad(dq, h_in)
-            dw[4 * b + 1] = _flat_weight_grad(dk, h_in)
-            dw[4 * b + 2] = _flat_weight_grad(dv, h_in)
-            dh = dh + dq @ wq + dk @ wk + dv @ wv
+            dq = (dscores @ k) * inv_sqrt
+            dk = (dscores.swapaxes(1, 2) @ q) * inv_sqrt
+            dw[4 * b:4 * b + 3] = [_flat_weight_grad(d, h_in) for d in (dq, dk, dv)]
+            dh = dh + _rows_matmul(dq, wq) + _rows_matmul(dk, wk) + _rows_matmul(dv, wv)
     return {**model.stack.weight_grad(dw), **head}
+
+
+def _rows_matmul(h, w):
+    """``h @ w`` on a (groups, L, n) stack as one GEMM on its (groups·L, n) rows."""
+    return (h.reshape(-1, h.shape[-1]) @ w).reshape(h.shape[:-1] + w.shape[-1:])
 
 
 def _flat_weight_grad(d_out, h_in):

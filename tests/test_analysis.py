@@ -103,7 +103,7 @@ class TestAsymmetryTrace:
 
     def test_short_series(self):
         rep = fake_report([1.0, 1.0], [0.5, 0.5])
-        tr = asymmetry_trace(rep, smooth=50)
+        tr = asymmetry_trace(rep)
         assert tr.ratio.shape[0] == 1
 
     def test_fft_crossing_within_first_fifth(self, experiment_bundle):

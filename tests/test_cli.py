@@ -247,7 +247,7 @@ def pristine(tmp_path_factory):
     return root
 
 
-def _finetune_damaged(pristine, tmp_path, capsys, damage):
+def _finetune_damaged(pristine, tmp_path, capsys, damage, code=1):
     ckpt = tmp_path / "pre"
     shutil.copytree(pristine / "pre", ckpt)
     damage(ckpt)
@@ -255,14 +255,18 @@ def _finetune_damaged(pristine, tmp_path, capsys, damage):
     rc = main(["finetune", "--config", str(pristine / "config.json"), "--checkpoint", str(ckpt),
                "--out", str(tmp_path / "ft")])
     err = capsys.readouterr().err
-    assert rc in (1, 2)
+    assert rc == code
     assert "error:" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("how", sorted(_FILE_DAMAGE))
 @pytest.mark.parametrize("name", _READ_FILES)
 def test_checkpoint_file_damage(pristine, tmp_path, capsys, name, how):
-    _finetune_damaged(pristine, tmp_path, capsys, lambda ckpt: _FILE_DAMAGE[how](ckpt / name))
+    # a directory without its top-level manifest is no checkpoint at all:
+    # exit 2, "missing checkpoint"; every other damaged file is a format error
+    code = 2 if (name, how) == ("manifest.json", "deleted") else 1
+    _finetune_damaged(pristine, tmp_path, capsys, lambda ckpt: _FILE_DAMAGE[how](ckpt / name),
+                      code)
 
 
 @pytest.mark.parametrize("value", ["dropped"] + _MISTYPED, ids=str)

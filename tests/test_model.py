@@ -260,6 +260,89 @@ class TestBackward:
             assert after == frozen_before[name]
 
 
+def einsum_attention_forward(model, x):
+    """The attention forward as the package wrote it before its products
+    became 2-D GEMMs and matmuls: a per-group (g, L, n) @ (n, n) product per
+    projection and an einsum for the scores and the context."""
+    weights = model.stack.effective_weight()
+    n, L = model.dim, model.seq_len
+    h = x.reshape(x.shape[0] // L, L, n)
+    blocks = []
+    for b in range(model.cfg.depth):
+        wq, wk, wv, wo = weights[4 * b:4 * b + 4]
+        q, k, v = h @ wq.T, h @ wk.T, h @ wv.T
+        scores = np.einsum("gid,gjd->gij", q, k) * (1.0 / math.sqrt(n))
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        p = e / e.sum(axis=-1, keepdims=True)
+        ctx = np.einsum("gij,gjd->gid", p, v)
+        blocks.append((h, q, k, v, p, ctx))
+        h = h + ctx @ wo.T
+    features = h.mean(axis=1)
+    return features @ model.head_w.T + model.head_b, features, blocks
+
+
+def einsum_attention_backward(model, dlog, features, blocks):
+    """The matching einsum backward: the weight gradients of all m matrices,
+    mapped to the adapter tensors as ``model_backward`` maps them."""
+    weights = model.stack.effective_weight()
+    n, L = model.dim, model.seq_len
+    inv_sqrt = 1.0 / math.sqrt(n)
+    dw = np.empty_like(weights)
+
+    def flat(d_out, h_in):
+        return d_out.reshape(-1, n).T @ h_in.reshape(-1, n)
+
+    dh = np.repeat((dlog @ model.head_w)[:, None, :] / L, L, axis=1)
+    for b in range(model.cfg.depth - 1, -1, -1):
+        h_in, q, k, v, p, ctx = blocks[b]
+        wq, wk, wv, wo = weights[4 * b:4 * b + 4]
+        dctx = dh @ wo
+        dw[4 * b + 3] = flat(dh, ctx)
+        dp = np.einsum("gid,gjd->gij", dctx, v)
+        dv = np.einsum("gij,gid->gjd", p, dctx)
+        dscores = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+        dq = np.einsum("gij,gjd->gid", dscores, k) * inv_sqrt
+        dk = np.einsum("gij,gid->gjd", dscores, q) * inv_sqrt
+        dw[4 * b], dw[4 * b + 1], dw[4 * b + 2] = flat(dq, h_in), flat(dk, h_in), flat(dv, h_in)
+        dh = dh + dq @ wq + dk @ wk + dv @ wv
+    return {**model.stack.weight_grad(dw), "head.w": dlog.T @ features,
+            "head.b": dlog.sum(axis=0)}
+
+
+class TestAttentionMatmul:
+    """The attention products are 2-D GEMMs on flattened rows and matmuls on
+    swapped axes; they round differently from the einsum forms they replaced
+    by no more than 1e-12 relative, in the forward and in every gradient."""
+
+    @staticmethod
+    def rel(new, old):
+        return np.abs(new - old).max() / max(np.abs(old).max(), 1e-300)
+
+    @pytest.mark.parametrize("regime", ["svd", "lora", "fft"])
+    @pytest.mark.parametrize("seq_len", [1, 4])
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_matches_einsum_forms(self, depth, seq_len, regime):
+        for seed in range(5):
+            base = init_model(attn_cfg(dim=12, depth=depth, seq_len=seq_len), seed=seed)
+            model = adapt_model(base, regime, 3, seed=seed + 1)
+            rng = np.random.default_rng(50 + seed)
+            for arr in model.trainable().values():
+                arr += 0.1 * rng.standard_normal(arr.shape)
+            x = rng.standard_normal((16 * seq_len, 12))
+            y = rng.integers(0, 2, size=16)
+            logits, features = model_forward(model, x, train=True)
+            ref_logits, ref_features, blocks = einsum_attention_forward(model, x)
+            assert self.rel(logits, ref_logits) <= 1e-12
+            assert self.rel(features, ref_features) <= 1e-12
+            dlog = cls_loss_grad(logits, y)
+            grads = model_backward(model, dlog)
+            ref = einsum_attention_backward(model, dlog, features, blocks)
+            assert grads.keys() == ref.keys() == model.trainable().keys()
+            for key, g in grads.items():
+                assert g.shape == ref[key].shape
+                assert self.rel(g, ref[key]) <= 1e-12, key
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         model = init_model(attn_cfg(depth=2), seed=8)

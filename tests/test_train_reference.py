@@ -9,7 +9,10 @@ adapter, and one adam_step over a dict with one entry per tensor. train()
 and pretrain() stack the adapters, fuse the loss with its gradient, keep
 every trainable tensor in one flat buffer and take one adam_step per step;
 only the grouping of the same IEEE operations differs, so the two must agree
-bit for bit.
+bit for bit. The attention products take the package's own forms (2-D GEMMs
+on flattened rows, matmuls on swapped axes);
+``tests/test_model.py::TestAttentionMatmul`` bounds their distance from the
+einsum forms they replaced.
 """
 
 import math
@@ -121,6 +124,11 @@ def named_params(model):
     return {**params, "head.w": model.head_w, "head.b": model.head_b}
 
 
+def rows(h, w):
+    """h @ w for a (groups, L, n) stack, as one 2-D GEMM on its flat rows."""
+    return (h.reshape(-1, h.shape[-1]) @ w).reshape(h.shape[:-1] + w.shape[-1:])
+
+
 def ref_forward(model, x):
     """Logits of a training forward; returns the cache for ref_backward."""
     layers = {name: a for name, a in model.adapters()}
@@ -138,11 +146,11 @@ def ref_forward(model, x):
         h = x.reshape(x.shape[0] // L, L, n)
         for b in range(model.cfg.depth):
             wq, wk, wv, wo = (weights[f"block{b}.{k}"] for k in ("q", "k", "v", "out"))
-            q, k, v = h @ wq.T, h @ wk.T, h @ wv.T
-            p = ref_softmax(np.einsum("gid,gjd->gij", q, k) * (1.0 / math.sqrt(n)))
-            ctx = np.einsum("gij,gjd->gid", p, v)
+            q, k, v = rows(h, wq.T), rows(h, wk.T), rows(h, wv.T)
+            p = ref_softmax((q @ k.swapaxes(1, 2)) * (1.0 / math.sqrt(n)))
+            ctx = p @ v
             blocks.append({"h_in": h, "q": q, "k": k, "v": v, "p": p, "ctx": ctx})
-            h = h + ctx @ wo.T
+            h = h + rows(ctx, wo.T)
         features = h.mean(axis=1)
     logits = features @ model.head_w.T + model.head_b
     return logits, {"blocks": blocks, "weights": weights, "features": features}
@@ -176,18 +184,18 @@ def ref_backward(model, cache, dlog):
         for b in range(model.cfg.depth - 1, -1, -1):
             h_in, q, k, v, p, ctx = (cache["blocks"][b][key]
                                      for key in ("h_in", "q", "k", "v", "p", "ctx"))
-            dctx = dh @ weights[f"block{b}.out"]
+            dctx = rows(dh, weights[f"block{b}.out"])
             put(f"block{b}.out", flat(dh, ctx))
-            dp = np.einsum("gid,gjd->gij", dctx, v)
-            dv = np.einsum("gij,gid->gjd", p, dctx)
+            dp = dctx @ v.swapaxes(1, 2)
+            dv = p.swapaxes(1, 2) @ dctx
             dscores = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
-            dq = np.einsum("gij,gjd->gid", dscores, k) * inv_sqrt
-            dk = np.einsum("gij,gid->gjd", dscores, q) * inv_sqrt
+            dq = (dscores @ k) * inv_sqrt
+            dk = (dscores.swapaxes(1, 2) @ q) * inv_sqrt
             put(f"block{b}.q", flat(dq, h_in))
             put(f"block{b}.k", flat(dk, h_in))
             put(f"block{b}.v", flat(dv, h_in))
-            dh = (dh + dq @ weights[f"block{b}.q"] + dk @ weights[f"block{b}.k"]
-                  + dv @ weights[f"block{b}.v"])
+            dh = (dh + rows(dq, weights[f"block{b}.q"]) + rows(dk, weights[f"block{b}.k"])
+                  + rows(dv, weights[f"block{b}.v"]))
     return grads
 
 
