@@ -150,6 +150,8 @@ def _load_checkpoint(args, spec):
     if not (ckpt / "manifest.json").exists():
         raise NumericalError(f"checkpoint {ckpt} not found")
     pretrained, _ = load_model(ckpt)
+    if pretrained.dim != spec.dim:
+        raise ConfigError(f"checkpoint dim {pretrained.dim} does not match spec.dim {spec.dim}")
     spec.unseen_methods  # ConfigError if nothing is held out
     return pretrained, _prepare_out(args.out, args.force)
 
@@ -168,6 +170,10 @@ def cmd_finetune(args):
         overrides["lambda2"] = args.lambda2
     if overrides:
         train_cfg = replace(train_cfg, **overrides)
+    # the checkpoint's dim must equal spec.dim, which _load_checkpoint checks
+    if train_cfg.regime in ("svd", "lora") and not 1 <= train_cfg.rank <= spec.dim:
+        raise ConfigError(f"train.rank {train_cfg.rank} out of range [1, {spec.dim}] "
+                          f"for regime {train_cfg.regime!r}")
     pretrained, out = _load_checkpoint(args, spec)
     model, report = finetune_run(pretrained, spec, train_cfg)
     print(f"trainable parameters: {report.trainable_params}")
@@ -209,24 +215,16 @@ def cmd_svd_split(args):
     k = factors.s.shape[0]
     if not 0 <= args.rank <= k:
         raise ValidationError(f"--rank {args.rank} out of range [0, {k}]")
+    manifest = {"rows": int(w.shape[0]), "cols": int(w.shape[1]), "rank": args.rank,
+                "frobenius_sq": frobenius_sq(w), "files": {}}
     sp = split(factors, args.rank)
     out = _prepare_out(args.out, args.force, "manifest.json")
-    names = {}
-    for name, arr in (("u_r", sp.u_r), ("v_r", sp.v_r), ("u_nr", sp.u_nr), ("v_nr", sp.v_nr)):
-        if arr.shape[1] > 0:
+    for name, arr in (("u_r", sp.u_r), ("v_r", sp.v_r), ("u_nr", sp.u_nr), ("v_nr", sp.v_nr),
+                      ("s_r", sp.s_r[:, None]), ("s_nr", sp.s_nr[:, None])):
+        if arr.size:
             write_emx(out / f"{name}.emx", arr)
-            names[name] = list(arr.shape)
-    for name, vec in (("s_r", sp.s_r), ("s_nr", sp.s_nr)):
-        if vec.shape[0] > 0:
-            write_emx(out / f"{name}.emx", vec.reshape(-1, 1))
-            names[name] = [int(vec.shape[0]), 1]
-    _write_json(out / "manifest.json", {
-        "rows": int(w.shape[0]),
-        "cols": int(w.shape[1]),
-        "rank": args.rank,
-        "frobenius_sq": frobenius_sq(w),
-        "files": names,
-    })
+            manifest["files"][name] = list(arr.shape)
+    _write_json(out / "manifest.json", manifest)
     print(f"split written to {out}")
     return 0
 
@@ -234,11 +232,11 @@ def cmd_svd_split(args):
 def cmd_analyze(args):
     feats = read_emx(args.features)
     rep = effective_rank(feats, args.threshold, source=Path(args.features).name)
+    projection = None if rep.zero_variance else projection_export(feats, min(2, feats.shape[1]))
     out = _prepare_out(args.out, args.force)
     (out / "rank_report.csv").write_text(rep.to_csv())
-    if not rep.zero_variance:
-        k = min(2, feats.shape[1])
-        write_emx(out / "projection.emx", projection_export(feats, k))
+    if projection is not None:
+        write_emx(out / "projection.emx", projection)
     _write_json(out / "summary.json", {
         "effective_rank": rep.effective_rank,
         "threshold": rep.threshold,

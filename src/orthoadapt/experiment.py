@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from array import array
 from dataclasses import asdict, dataclass, field, replace
 
@@ -109,7 +108,6 @@ class ExperimentReport:
     final_metrics: dict = field(default_factory=dict)
     rank_before: int = None
     rank_after: int = None
-    rank_threshold: float = RANK_THRESHOLD
     trainable_params: int = 0
     error: str = None
 
@@ -128,14 +126,11 @@ class ExperimentReport:
             "final_metrics": self.final_metrics,
             "rank_before": self.rank_before,
             "rank_after": self.rank_after,
-            "rank_threshold": self.rank_threshold,
+            "rank_threshold": RANK_THRESHOLD,
             "trainable_params": self.trainable_params,
             "iterations": len(self.iters),
             "error": self.error,
         }
-
-    def summary_json(self):
-        return json.dumps(self.summary(), sort_keys=True, indent=2) + "\n"
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -168,54 +163,6 @@ def adam_step(params, grads, state, lr, t=1):
         v_hat = v / (1.0 - ADAM_BETA2**t)
         p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params, state
-
-
-def _views(buffer, like):
-    """Name -> view into ``buffer``, one per array of ``like``, back to back."""
-    views = {}
-    offset = 0
-    for name, a in like.items():
-        views[name] = buffer[offset:offset + a.size].reshape(a.shape)
-        offset += a.size
-    return views
-
-
-class _FlatParams:
-    """Every trainable tensor of a model as a view into one float64 buffer.
-
-    The buffer is laid out key by key of ``model.trainable()``, so each
-    adapter stack and each head tensor is one view, and the model is rebound
-    to those views. A training step writes its gradients into the matching
-    views of ``grad`` and updates all tensors with one elementwise
-    ``adam_step``, which gives the same bits as one call per tensor.
-    """
-
-    def __init__(self, model: ToyModel):
-        params = model.trainable()
-        self.flat = np.concatenate([p.ravel() for p in params.values()])
-        self.grad = np.zeros_like(self.flat)
-        model.bind_trainable(_views(self.flat, params))
-        self.grads = _views(self.grad, params)
-        self._names = [name for name, _ in model.adapters()]
-        self._state = {}
-
-    def step(self, grads, lr, t, extra=None):
-        """One Adam update from ``grads`` plus ``extra``, both keyed like
-        ``model.trainable()``; a key missing from ``grads`` counts as zero.
-        NumericalError naming the first non-finite tensor, before any update."""
-        extra = extra or {}
-        for key, view in self.grads.items():
-            view[...] = grads.get(key, 0.0)
-            if key in extra:
-                view += extra[key]
-        try:
-            adam_step({"params": self.flat}, {"params": self.grad}, self._state, lr, t=t)
-        except NumericalError:
-            key, g = next((k, g) for k, g in self.grads.items() if not np.isfinite(g).all())
-            if not key.startswith("head."):  # name the first non-finite row
-                row = np.argmin(np.isfinite(g).reshape(len(g), -1).all(axis=1))
-                key = f"{self._names[row]}.{key}"
-            raise NumericalError(f"non-finite gradient for {key}") from None
 
 
 def roc_auc(scores, labels):
@@ -251,15 +198,10 @@ def accuracy_at_half(probabilities, labels):
     return float(((p >= 0.5).astype(np.int64) == y).mean())
 
 
-def fake_probability(logits):
-    """Softmax probability of the fake class (column 1)."""
-    return _softmax(logits)[:, 1]
-
-
 def evaluate(model: ToyModel, ds: Dataset):
     """Inference pass: returns (logits, features, fake probabilities)."""
     logits, features = model_forward(model, ds.x, train=False)
-    return logits, features, fake_probability(logits)
+    return logits, features, _softmax(logits)[:, 1]
 
 
 def binary_metrics(model, ds):
@@ -308,6 +250,75 @@ def _regularizers(model, lambda1, lambda2, weights=None):
     return _mean_over(orth, m), _mean_over(sv, m), grads
 
 
+def _views(buffer, like):
+    """Name -> view into ``buffer``, one per array of ``like``, back to back."""
+    views = {}
+    offset = 0
+    for name, a in like.items():
+        views[name] = buffer[offset:offset + a.size].reshape(a.shape)
+        offset += a.size
+    return views
+
+
+class _Trainer:
+    """The training step that ``train`` and ``pretrain`` share, for one run.
+
+    Every trainable tensor of ``model`` becomes a view into one float64
+    buffer, laid out key by key of ``model.trainable()``; its gradients go
+    into the matching views of a second one, and one elementwise ``adam_step``
+    updates all tensors with the bits of one call per tensor. ``lambdas`` is
+    (lambda1, lambda2) for an svd model, else None."""
+
+    def __init__(self, model: ToyModel, dataset: Dataset, label, rng, batch, lambdas=None):
+        _check_dataset(model, dataset, label)
+        params = model.trainable()
+        self.flat = np.concatenate([p.ravel() for p in params.values()])
+        self.grad = np.zeros_like(self.flat)
+        model.bind_trainable(_views(self.flat, params))
+        self.grads = _views(self.grad, params)
+        self.model, self.dataset, self.rng, self.batch, self.lambdas = (
+            model, dataset, rng, batch, lambdas)
+        self._state = {}
+
+    def step(self, t, lr, report: ExperimentReport):
+        """Step ``t`` (from 1): sample a batch, append its losses to the traces
+        of ``report`` and, only if the total loss is finite (the return value),
+        take one Adam step. NumericalError on non-finite activations, or
+        naming the first non-finite gradient tensor before any update."""
+        model = self.model
+        x, y = _sample_batch(self.rng, self.dataset, self.batch)
+        logits, _ = _forward(model, x, train=True)
+        loss, real, fake, dlogits = cls_loss_and_grad(logits, y)
+        orth, sv, reg_grads = 0.0, 0.0, {}
+        lambda1, lambda2 = self.lambdas or (0.0, 0.0)
+        if self.lambdas is not None:
+            orth, sv, reg_grads = _regularizers(model, lambda1, lambda2, model._cache["weights"])
+        total = loss + lambda1 * orth + lambda2 * sv
+        report.iters.append(t - 1)
+        report.total_loss.append(total)
+        report.real_loss.append(real)
+        report.fake_loss.append(fake)
+        report.orth_loss.append(orth)
+        report.sv_loss.append(sv)
+        if not np.isfinite(total):
+            return False
+
+        grads = model_backward(model, dlogits)  # a key missing from it counts as zero
+        for key, view in self.grads.items():
+            view[...] = grads.get(key, 0.0)
+            if key in reg_grads:
+                view += reg_grads[key]
+        try:
+            adam_step({"params": self.flat}, {"params": self.grad}, self._state, lr, t=t)
+        except NumericalError:
+            key, g = next((k, g) for k, g in self.grads.items() if not np.isfinite(g).all())
+            if not key.startswith("head."):  # name the first non-finite row
+                row = np.argmin(np.isfinite(g).reshape(len(g), -1).all(axis=1))
+                key = f"{model.adapters()[row][0]}.{key}"
+            raise NumericalError(f"non-finite gradient for {key}") from None
+        return True
+
+
 def train(model: ToyModel, dataset: Dataset, cfg: TrainConfig, eval_sets=None, rank_set=None):
     """Fine-tune ``model`` on ``dataset`` and report traces and final metrics.
 
@@ -331,37 +342,17 @@ def train(model: ToyModel, dataset: Dataset, cfg: TrainConfig, eval_sets=None, r
         _, feats, _ = evaluate(model, rank_set)
         report.rank_before = effective_rank(feats, RANK_THRESHOLD).effective_rank
 
-    _check_dataset(model, dataset, "training set")
-    params = _FlatParams(model)
-    rng = substream(cfg.seed, "batches")
-    is_svd = cfg.regime == "svd"
-
+    lambdas = (cfg.lambda1, cfg.lambda2) if cfg.regime == "svd" else None
+    trainer = _Trainer(model, dataset, "training set", substream(cfg.seed, "batches"),
+                       cfg.batch, lambdas)
     for t in range(1, cfg.iters + 1):
-        x, y = _sample_batch(rng, dataset, cfg.batch)
         try:
-            logits, _ = _forward(model, x, train=True)
-            loss, real, fake, dlogits = cls_loss_and_grad(logits, y)
-            if is_svd:
-                orth_mean, sv_mean, reg_grads = _regularizers(
-                    model, cfg.lambda1, cfg.lambda2, model._cache["weights"])
-            else:
-                orth_mean, sv_mean, reg_grads = 0.0, 0.0, {}
-            total = loss + cfg.lambda1 * orth_mean + cfg.lambda2 * sv_mean
-
-            report.iters.append(t - 1)
-            report.total_loss.append(total)
-            report.real_loss.append(real)
-            report.fake_loss.append(fake)
-            report.orth_loss.append(orth_mean)
-            report.sv_loss.append(sv_mean)
-
-            if not np.isfinite(total):
-                report.error = f"diverged at iteration {t - 1}"
-                break
-
-            params.step(model_backward(model, dlogits), cfg.lr, t, extra=reg_grads)
+            finite = trainer.step(t, cfg.lr, report)
         except NumericalError as exc:
             report.error = f"diverged at iteration {t - 1}: {exc}"
+            break
+        if not finite:
+            report.error = f"diverged at iteration {t - 1}"
             break
 
     try:
@@ -408,26 +399,21 @@ def pretrain(backbone: BackboneConfig, spec: SyntheticSpec, cfg: PretrainConfig 
 
     Stops once held-out accuracy reaches the target (checked every
     ``eval_every`` iterations) or at the cap; raises PretrainingFailure if the
-    cap is hit below the minimum bar.
+    cap is hit below the minimum bar, and NumericalError if a loss, an
+    activation or a gradient is not finite.
     """
     cfg = cfg or PretrainConfig()
     bb = replace(backbone, adapter_kind="full")
     train_ds, eval_ds = semantic_shards(spec, bb.seq_len)
     model = init_model(bb, cfg.seed, head_dim=spec.clusters)
-    _check_dataset(model, train_ds, "pretraining set")
-    params = _FlatParams(model)
-    rng = substream(cfg.seed, "pretrain-batches")
-    losses = []
+    trainer = _Trainer(model, train_ds, "pretraining set",
+                       substream(cfg.seed, "pretrain-batches"), cfg.batch)
+    trace = ExperimentReport(config=asdict(cfg))
     acc_trace = []
     accuracy = semantic_accuracy(model, eval_ds)
-    iterations = 0
     for t in range(1, cfg.max_iters + 1):
-        x, y = _sample_batch(rng, train_ds, cfg.batch)
-        logits, _ = _forward(model, x, train=True)
-        loss, _, _, dlogits = cls_loss_and_grad(logits, y)
-        losses.append(loss)
-        params.step(model_backward(model, dlogits), cfg.lr, t)
-        iterations = t
+        if not trainer.step(t, cfg.lr, trace):
+            raise NumericalError(f"pretraining loss is not finite at iteration {t - 1}")
         if t % cfg.eval_every == 0:
             accuracy = semantic_accuracy(model, eval_ds)
             acc_trace.append((t, accuracy))
@@ -436,12 +422,13 @@ def pretrain(backbone: BackboneConfig, spec: SyntheticSpec, cfg: PretrainConfig 
     else:
         accuracy = semantic_accuracy(model, eval_ds)
         acc_trace.append((cfg.max_iters, accuracy))
+    iterations = len(trace.iters)
     if accuracy < cfg.min_accuracy:
         raise PretrainingFailure(
             f"pretraining reached {accuracy:.3f} accuracy after {iterations} iterations"
         )
     return PretrainResult(model=model, accuracy=accuracy, iterations=iterations,
-                          loss_trace=losses, accuracy_trace=acc_trace)
+                          loss_trace=trace.total_loss.tolist(), accuracy_trace=acc_trace)
 
 
 def finetune_run(pretrained: ToyModel, spec: SyntheticSpec, cfg: TrainConfig):

@@ -65,13 +65,16 @@ def svd(m, label="matrix") -> SvdFactors:
 
     For square input the factors are full. Singular values are descending,
     zero singular values keep orthonormal factor columns, and factor signs
-    follow the convention in ``_fix_signs``.
+    follow the convention in ``_fix_signs``. NumericalError if a factor is
+    not finite, which finite but huge entries can cause.
     """
     a = check_matrix(m, label)
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD of {label} {a.shape} failed: {exc}") from exc
+    if not (np.isfinite(s).all() and np.isfinite(u).all() and np.isfinite(vt).all()):
+        raise NumericalError(f"SVD of {label} {a.shape} is not finite")
     v = vt.T
     _fix_signs(u, v)
     return SvdFactors(u=u, s=s, v=v)
@@ -101,9 +104,14 @@ def reconstruct(sp: SubspaceSplit):
 
 
 def frobenius_sq(m) -> float:
-    """Sum of squared entries (equals the sum of squared singular values)."""
+    """Sum of squared entries (equals the sum of squared singular values);
+    NumericalError if it overflows."""
     a = check_matrix(m, "matrix")
-    return float(np.sum(a * a))
+    with np.errstate(over="ignore"):
+        total = float(np.sum(a * a))
+    if not np.isfinite(total):
+        raise NumericalError("squared Frobenius norm of the matrix overflows")
+    return total
 
 
 def sym_eig(a, label="matrix"):

@@ -288,7 +288,8 @@ def model_backward(model: ToyModel, dlogits):
     ``model.trainable()``: each adapter gradient is one (m, ...) array. Requires
     a cached training forward, whose effective weights it reuses; the weight
     gradients of all m matrices are gathered layer by layer and mapped to the
-    adapter tensors in one ``weight_grad`` call."""
+    adapter tensors in one ``weight_grad`` call. A frozen backbone, with no
+    adapter tensor to train, gets the head gradients alone."""
     cache = model._cache
     if cache is None:
         raise StateError("model_backward called without a cached forward pass")
@@ -297,9 +298,11 @@ def model_backward(model: ToyModel, dlogits):
     if dlog.shape != (features.shape[0], model.head_dim):
         raise ValidationError(f"dlogits shape {dlog.shape} does not match forward")
 
+    head = {"head.w": dlog.T @ features, "head.b": dlog.sum(axis=0)}
+    if not model.stack.trainable():
+        return head
     weights = cache["weights"]
     dw = np.empty_like(weights)
-    head = {"head.w": dlog.T @ features, "head.b": dlog.sum(axis=0)}
     dfeat = dlog @ model.head_w
     L = model.seq_len
 

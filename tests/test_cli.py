@@ -5,10 +5,13 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import orthoadapt
 from orthoadapt.cli import main
@@ -325,6 +328,38 @@ def test_no_holdout_stops_before_training(tmp_path, capsys, monkeypatch, command
     assert not out.exists()
 
 
+def _run_on_pristine(pristine, tmp_path, capsys, command, cfg, *extra):
+    """Exit code and stderr of ``command`` on the pristine checkpoint with
+    config ``cfg``; asserts that no --out was left behind."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = main([command, "--config", str(path), "--checkpoint", str(pristine / "pre"),
+               "--out", str(out), *extra])
+    assert not out.exists()
+    return rc, capsys.readouterr().err
+
+
+# each once exited 1 with an empty --out left behind (the sweep exited 0 with
+# a table of failed cells)
+@pytest.mark.parametrize("command", ["finetune", "sweep"])
+def test_checkpoint_dim_mismatch_stops_before_out(pristine, tmp_path, capsys, command):
+    cfg = json.loads(json.dumps(TINY_CONFIG))
+    cfg["spec"]["dim"] = cfg["backbone"]["dim"] = 12
+    rc, err = _run_on_pristine(pristine, tmp_path, capsys, command, cfg)
+    assert rc == 1
+    assert err == "error: checkpoint dim 16 does not match spec.dim 12\n"
+
+
+@pytest.mark.parametrize("regime,rank", [("svd", 0), ("svd", 17), ("svd", -2), ("lora", 20)])
+def test_finetune_rank_out_of_range_stops_before_out(pristine, tmp_path, capsys, regime, rank):
+    rc, err = _run_on_pristine(pristine, tmp_path, capsys, "finetune", TINY_CONFIG,
+                               "--regime", regime, "--rank", str(rank))
+    assert rc == 1
+    assert err == f"error: train.rank {rank} out of range [1, 16] for regime {regime!r}\n"
+
+
 class TestSweep:
     def test_sweep_and_determinism(self, tmp_path, config_path, checkpoint):
         a = tmp_path / "sa"
@@ -433,6 +468,21 @@ class TestSvdSplitAnalyze:
         assert rc == 1
         assert "zero dimension" in err and "Traceback" not in err
 
+    # singular values that overflow, or a squared norm that does, exit 2
+    # before --out exists, not part way through writing it
+    @pytest.mark.parametrize("w", [np.full((3, 3), 1e308),
+                                   np.array([[1.0, 1.0], [1.0, -1.0]]) * 1e308],
+                             ids=["svd", "frobenius"])
+    def test_split_overflow_writes_nothing(self, tmp_path, capsys, w):
+        src = tmp_path / "huge.emx"
+        write_emx(src, w)
+        out = tmp_path / "sp"
+        with np.errstate(all="ignore"):
+            rc = main(["svd-split", str(src), "--rank", "1", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_analyze_rank_one(self, tmp_path):
         rng = np.random.default_rng(1)
         x = np.outer(rng.standard_normal(64), rng.standard_normal(5))
@@ -473,3 +523,50 @@ class TestReport:
         assert main(["report", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert name in err and "Traceback" not in err
+
+
+# zeros of both signs, subnormals and the edges of the float64 range, mixed
+# with ordinary values
+_EMX_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e308, -1e308]),
+    st.floats(-1e3, 1e3))
+_EMX_MATRICES = st.integers(1, 8).flatmap(lambda rows: st.integers(1, 8).flatmap(
+    lambda cols: st.lists(st.lists(_EMX_VALUES, min_size=cols, max_size=cols),
+                          min_size=rows, max_size=rows))).map(np.array)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_EMX_MATRICES, st.integers(0, 8))
+def test_emx_commands_finish_or_fail_cleanly(tmp_path, capsys, w, rank):
+    """An EMX file reads back as the bytes written; svd-split and analyze on
+    it either exit 0 with all their output, or exit 1 or 2 with one error
+    line and no --out."""
+    with tempfile.TemporaryDirectory(dir=tmp_path) as root:
+        root = Path(root)
+        src = root / "w.emx"
+        write_emx(src, w)
+        write_emx(root / "back.emx", read_emx(src))
+        assert (root / "back.emx").read_bytes() == src.read_bytes()
+
+        for argv, out in ((["svd-split", str(src), "--rank", str(rank)], root / "split"),
+                          (["analyze", str(src)], root / "rank")):
+            capsys.readouterr()
+            with np.errstate(all="ignore"):  # huge entries overflow on the way
+                rc = main([*argv, "--out", str(out)])
+            err = capsys.readouterr().err
+            if rc != 0:
+                assert rc in (1, 2) and not out.exists()
+                assert err.startswith("error: ") and err.count("\n") == 1
+                continue
+            summary = json.loads((out / ("manifest.json" if argv[0] == "svd-split"
+                                         else "summary.json")).read_text(),
+                                 parse_constant=lambda c: pytest.fail(f"{c} is not JSON"))
+            if argv[0] == "svd-split":
+                assert summary["frobenius_sq"] == float(np.sum(w * w))
+                for name, shape in summary["files"].items():
+                    assert read_emx(out / f"{name}.emx").shape == tuple(shape)
+                assert set(summary["files"]) >= ({"u_r"} if rank else {"u_nr"})
+            else:
+                assert (out / "rank_report.csv").exists()
+                assert (out / "projection.emx").exists() != summary["zero_variance"]

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from orthoadapt.data import SyntheticSpec, gen_dataset
 from orthoadapt.errors import NumericalError, PretrainingFailure, ValidationError
+from orthoadapt import experiment
 from orthoadapt.experiment import (
+    ExperimentReport,
     PretrainConfig,
-    _FlatParams,
+    _Trainer,
     TrainConfig,
     accuracy_at_half,
     adam_step,
@@ -28,6 +30,7 @@ from orthoadapt.experiment import (
 )
 from orthoadapt.analysis import asymmetry_trace, effective_rank
 from orthoadapt.model import BackboneConfig, adapt_model, init_model
+from orthoadapt.seeding import substream
 
 
 class TestAdam:
@@ -203,31 +206,39 @@ class TestTrain:
         assert report.error is not None
         assert len(report.iters) < 300
 
-    def test_flat_step_names_non_finite_gradient(self):
+    @staticmethod
+    def nan_gradient_step(monkeypatch, model, ds, key, index):
+        """The error of one training step whose backward pass gives zero
+        gradients but a NaN at ``[key][index]``; the step must reject it
+        before any update."""
+        grads = {k: np.zeros_like(p) for k, p in model.trainable().items()}
+        grads[key][index] = np.nan
+        monkeypatch.setattr(experiment, "model_backward", lambda model, dlogits: grads)
+        trainer = _Trainer(model, ds, "training set", substream(0, "batches"), 8)
+        before = trainer.flat.copy()
+        with pytest.raises(NumericalError) as info:
+            trainer.step(1, 0.1, ExperimentReport(config={}))
+        assert trainer.flat.tobytes() == before.tobytes()
+        return str(info.value)
+
+    def test_flat_step_names_non_finite_gradient(self, monkeypatch):
         # one NaN gradient entry: the flat Adam step rejects it before any
         # update, and the error names the tensor
         spec, model, ds = tiny_world()
-        params = _FlatParams(model)
-        before = params.flat.copy()
-        grads = {key: np.zeros_like(p) for key, p in model.trainable().items()}
-        grads["v"][0, 1, 0] = np.nan  # row 0 of the stack is block0.w
-        with pytest.raises(NumericalError, match="non-finite gradient for block0.w.v"):
-            params.step(grads, 0.1, 1)
-        assert params.flat.tobytes() == before.tobytes()
+        # row 0 of the stack is block0.w
+        message = self.nan_gradient_step(monkeypatch, model, ds, "v", (0, 1, 0))
+        assert message == "non-finite gradient for block0.w.v"
 
     @pytest.mark.parametrize("key,index,name", [("v", (1, 3, 0), "block1.w.v"),
                                                 ("head.b", (1,), "head.b")])
-    def test_flat_step_names_later_row_and_head(self, key, index, name):
+    def test_flat_step_names_later_row_and_head(self, monkeypatch, key, index, name):
         # the name comes from the key and the first non-finite row of its stack
+        spec = SyntheticSpec(dim=16, clusters=4, samples_per_split=128, seed=0)
         bb = BackboneConfig(kind="mlp", dim=16, depth=2, seq_len=1, adapter_kind="full")
         model = adapt_model(init_model(bb, 0), "svd", 2, seed=0)
-        params = _FlatParams(model)
-        before = params.flat.copy()
-        grads = {k: np.zeros_like(p) for k, p in model.trainable().items()}
-        grads[key][index] = np.nan
-        with pytest.raises(NumericalError, match=f"non-finite gradient for {name}$"):
-            params.step(grads, 0.1, 1)
-        assert params.flat.tobytes() == before.tobytes()
+        ds = gen_dataset(spec, "finetune_train", 1)
+        message = self.nan_gradient_step(monkeypatch, model, ds, key, index)
+        assert message == f"non-finite gradient for {name}"
 
     def test_numerical_error_in_loop_ends_run(self):
         # an attention block overflows on the second step under lr 1e200
@@ -294,6 +305,15 @@ class TestPretrain:
             pretrain(bb, spec, PretrainConfig(seed=0, max_iters=1, eval_every=1,
                                               target_accuracy=1.1, min_accuracy=1.1))
 
+
+    def test_non_finite_loss_raises(self):
+        # at lr 1e307 the head's logits overflow on the second step: the loss
+        # is not finite, and pretraining stops there instead of stepping on
+        spec = SyntheticSpec(dim=16, clusters=4, samples_per_split=128, seed=0)
+        bb = BackboneConfig(kind="mlp", dim=16, depth=1, seq_len=1)
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericalError, match="^pretraining loss is not finite at iteration 1$"):
+            pretrain(bb, spec, PretrainConfig(lr=1e307, max_iters=20, min_accuracy=0.0))
 
 class TestSweep:
     def make_pretrained(self):

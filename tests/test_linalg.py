@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orthoadapt.adapters import SvdResidualAdapter
 from orthoadapt.errors import NumericalError, ValidationError
 from orthoadapt.linalg import (
     PcaSpectrum,
@@ -148,6 +149,16 @@ class TestSvd:
         with pytest.raises(NumericalError):
             sym_eig(np.eye(3))
 
+    def test_overflow_is_numerical_error(self):
+        # finite input whose largest singular value, 3e308, is not: LAPACK
+        # returns inf and raises nothing, and neither may an adapter built on it
+        huge = np.full((3, 3), 1e308)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalError, match="not finite"):
+                svd(huge)
+            with pytest.raises(NumericalError, match="not finite"):
+                SvdResidualAdapter(huge, 1)
+
     @PROPERTY_SETTINGS
     @given(matrix_cases)
     def test_properties(self, case):
@@ -225,6 +236,10 @@ class TestFrobenius:
         m = np.random.default_rng(14).standard_normal((10, 10))
         total = frobenius_sq(m)
         assert abs(total - float(np.sum(svd(m).s ** 2))) <= 1e-10 * total
+
+    def test_overflow_is_numerical_error(self):
+        with pytest.raises(NumericalError, match="overflows"):
+            frobenius_sq(np.array([[1e308, -1e308]]))
 
 
 class TestSymEig:
