@@ -29,7 +29,7 @@ import numpy as np
 
 from .emx import read_emx, write_emx
 from .errors import FormatError, ValidationError, check_field_types
-from .linalg import SubspaceSplit, check_matrix, reconstruct, split, svd
+from .linalg import SubspaceSplit, check_matrix, reconstruct, split, sum_sq, svd
 
 
 @dataclass
@@ -47,12 +47,12 @@ class RegularizerWeights:
 
 def _t(a):
     """The transpose of a matrix, or of each matrix of a stack."""
-    return np.swapaxes(a, -1, -2)
+    return a.swapaxes(-1, -2)
 
 
 def _sum_sq(a):
     """Sum of squared entries of a matrix, or of each matrix of a stack."""
-    return (a * a).sum(axis=(-2, -1))
+    return np.add.reduce(a * a, axis=(-2, -1))
 
 
 def _stack(arrays, what):
@@ -137,7 +137,7 @@ class SvdResidualAdapter(_Adapter):
         self.reg = reg if reg is not None else RegularizerWeights()
         self.frozen_frob_sq = sp.frozen_frob_sq
         self._w_principal = reconstruct(sp)
-        self._frozen_orth = None  # ||U_r^T U_r - I||^2 + ||V_r^T V_r - I||^2, set by reg_terms
+        self._frozen_orth = self._principal_sq = None  # frozen blocks, set by reg_terms
         self._eye = np.eye(self.u.shape[1])
 
     def _stack_rest(self, adapters):
@@ -146,7 +146,7 @@ class SvdResidualAdapter(_Adapter):
             a.split = replace(a.split, **{f: arr[i] for f, arr in stacks.items()})
         self.frozen_frob_sq = np.array([a.frozen_frob_sq for a in adapters])
         self.split = replace(adapters[0].split, frozen_frob_sq=self.frozen_frob_sq, **stacks)
-        self._frozen_orth = None
+        self._frozen_orth = self._principal_sq = None
         self._eye = adapters[0]._eye
 
     @classmethod
@@ -173,22 +173,23 @@ class SvdResidualAdapter(_Adapter):
             "v": _t(m) @ (self.u * self.s[..., None, :]),
         }
 
-    def reg_terms(self, lambda1, lambda2, w_eff=None):
-        """(orth, sv, gradients of lambda1 * orth + lambda2 * sv).
+    def reg_terms(self, lambda1, lambda2):
+        """(orth, sv, gradients of lambda1 * orth + lambda2 * sv), from the
+        factors alone: neither term forms an n x n array. For a stack, orth and
+        sv hold one entry per matrix; for one adapter they are floats.
 
-        orth is ||Û^T Û - I||^2 + ||V̂^T V̂ - I||^2 for the stacked factors
-        Û = [U_r, U] and V̂ = [V_r, V]. Blockwise, ||Û^T Û - I||^2 =
-        ||U_r^T U_r - I||^2 + 2 ||U_r^T U||^2 + ||U^T U - I||^2, so a call costs
-        O(n r k) and no n x n array: the first block depends on the frozen
-        factors alone and is computed once, on the first call with
-        lambda1 > 0. sv is the spectral-energy drift
-        | ||W_eff||_F^2 - ||W_init||_F^2 |. ``w_eff`` is the current
-        ``effective_weight()`` if the caller already has it; without it the
-        weight is recomputed. For a stack, orth and sv are arrays with one
-        entry per matrix; for one adapter they are floats.
+        orth is ||[U_r, U]^T [U_r, U] - I||^2 + the same for V, taken blockwise
+        as ||U_r^T U_r - I||^2 + 2 ||U_r^T U||^2 + ||U^T U - I||^2. sv is
+        | ||W_eff||^2 - ||W_init||^2 | for W_eff = W_p + U S V^T, from ||W_p||^2
+        + tr(S U^T W_p V) + tr(S U^T W_eff V); W_eff V = W_p V + U S V^T V and
+        W_eff^T U = W_p^T U + V S U^T U cost two n x k products with W_p. The
+        frozen ||U_r^T U_r - I||^2 + ||V_r^T V_r - I||^2 and ||W_p||^2 are
+        computed on the first call that needs them (NumericalError on overflow).
         """
         grads = {}
         orth = sv = np.zeros(self.s.shape[:-1])
+        u, s, v = self.u, self.s, self.v
+        grams = {"u": _t(u) @ u, "v": _t(v) @ v}
         if lambda1 > 0:
             sp = self.split
             if self._frozen_orth is None:
@@ -196,18 +197,25 @@ class SvdResidualAdapter(_Adapter):
                 self._frozen_orth = (_sum_sq(_t(sp.u_r) @ sp.u_r - eye)
                                      + _sum_sq(_t(sp.v_r) @ sp.v_r - eye))
             orth = self._frozen_orth
-            for key, frozen, f in (("u", sp.u_r, self.u), ("v", sp.v_r, self.v)):
+            for key, frozen, f in (("u", sp.u_r, u), ("v", sp.v_r, v)):
                 cross = _t(frozen) @ f
-                gram = _t(f) @ f - self._eye
+                gram = grams[key] - self._eye
                 orth = orth + (2.0 * _sum_sq(cross) + _sum_sq(gram))
                 grads[key] = 4.0 * lambda1 * (frozen @ cross + f @ gram)
         if lambda2 > 0:
-            if w_eff is None:
-                w_eff = self.effective_weight()
-            drift = _sum_sq(w_eff) - self.frozen_frob_sq
+            w_p = self._w_principal
+            if self._principal_sq is None:
+                self._principal_sq = sum_sq(w_p, (-2, -1), "frozen principal weight")
+            wp_v = w_p @ v
+            w_v = wp_v + (u * s[..., None, :]) @ grams["v"]  # W_eff V
+            w_t_u = _t(w_p) @ u + (v * s[..., None, :]) @ grams["u"]  # W_eff^T U
+            cross, full = np.add.reduce(u * wp_v, axis=-2), np.add.reduce(u * w_v, axis=-2)
+            drift = (self._principal_sq + np.add.reduce(s * (cross + full), axis=-1)
+                     - self.frozen_frob_sq)
             sv = np.abs(drift)
-            scale = (2.0 * np.sign(drift) * lambda2)[..., None, None]
-            for key, g in self.weight_grad(scale * w_eff).items():
+            c = (2.0 * np.sign(drift) * lambda2)[..., None]
+            cs = (c * s)[..., None, :]
+            for key, g in (("u", w_v * cs), ("s", c * full), ("v", w_t_u * cs)):
                 grads[key] = grads.get(key, 0.0) + g
         if np.ndim(orth) == 0:
             return float(orth), float(sv), grads

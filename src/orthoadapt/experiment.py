@@ -150,7 +150,7 @@ def adam_step(params, grads, state, lr, t=1):
             g = np.asarray(g, dtype=np.float64)
             if g.shape != p.shape:
                 raise ValidationError(f"gradient shape mismatch for {name}")
-            if not np.isfinite(g).all():
+            if not np.logical_and.reduce(np.isfinite(g), axis=None):
                 raise NumericalError(f"non-finite gradient for {name}")
         if name not in state:
             state[name] = (np.zeros_like(p), np.zeros_like(p))
@@ -240,13 +240,12 @@ def _mean_over(values, m):
     return total
 
 
-def _regularizers(model, lambda1, lambda2, weights=None):
+def _regularizers(model, lambda1, lambda2):
     """(orth_mean, sv_mean, gradients keyed like ``model.trainable()``) with
     the 1/m averaging over the adapted matrices: one ``reg_terms`` call on the
-    model's stacked svd adapter serves all m. ``weights`` is the stacked
-    effective weight if the caller has it. Only meaningful for svd adapters."""
+    model's stacked svd adapter serves all m. Only meaningful for svd adapters."""
     m = len(model.stack.members)
-    orth, sv, grads = model.stack.reg_terms(lambda1 / m, lambda2 / m, w_eff=weights)
+    orth, sv, grads = model.stack.reg_terms(lambda1 / m, lambda2 / m)
     return _mean_over(orth, m), _mean_over(sv, m), grads
 
 
@@ -267,7 +266,8 @@ class _Trainer:
     buffer, laid out key by key of ``model.trainable()``; its gradients go
     into the matching views of a second one, and one elementwise ``adam_step``
     updates all tensors with the bits of one call per tensor. ``lambdas`` is
-    (lambda1, lambda2) for an svd model, else None."""
+    (lambda1, lambda2) for an svd model with a weight above 0, else None: with
+    both weights 0 the regularizers add 0.0 to the loss and no gradient."""
 
     def __init__(self, model: ToyModel, dataset: Dataset, label, rng, batch, lambdas=None):
         _check_dataset(model, dataset, label)
@@ -289,10 +289,8 @@ class _Trainer:
         x, y = _sample_batch(self.rng, self.dataset, self.batch)
         logits, _ = _forward(model, x, train=True)
         loss, real, fake, dlogits = cls_loss_and_grad(logits, y)
-        orth, sv, reg_grads = 0.0, 0.0, {}
         lambda1, lambda2 = self.lambdas or (0.0, 0.0)
-        if self.lambdas is not None:
-            orth, sv, reg_grads = _regularizers(model, lambda1, lambda2, model._cache["weights"])
+        orth, sv, reg_grads = _regularizers(model, *self.lambdas) if self.lambdas else (0.0, 0.0, {})
         total = loss + lambda1 * orth + lambda2 * sv
         report.iters.append(t - 1)
         report.total_loss.append(total)
@@ -342,9 +340,9 @@ def train(model: ToyModel, dataset: Dataset, cfg: TrainConfig, eval_sets=None, r
         _, feats, _ = evaluate(model, rank_set)
         report.rank_before = effective_rank(feats, RANK_THRESHOLD).effective_rank
 
-    lambdas = (cfg.lambda1, cfg.lambda2) if cfg.regime == "svd" else None
+    lambdas = (cfg.lambda1, cfg.lambda2)
     trainer = _Trainer(model, dataset, "training set", substream(cfg.seed, "batches"),
-                       cfg.batch, lambdas)
+                       cfg.batch, lambdas if cfg.regime == "svd" and any(lambdas) else None)
     for t in range(1, cfg.iters + 1):
         try:
             finite = trainer.step(t, cfg.lr, report)

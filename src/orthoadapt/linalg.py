@@ -81,7 +81,7 @@ def svd(m, label="matrix") -> SvdFactors:
 
 
 def split(f: SvdFactors, r: int) -> SubspaceSplit:
-    """Partition factors into the top-r principal part and the residual."""
+    """Top-r principal part and residual; NumericalError if ||s||^2 overflows."""
     k = f.s.shape[0]
     if not 0 <= r <= k:
         raise ValidationError(f"split rank {r} out of range [0, {k}]")
@@ -93,7 +93,7 @@ def split(f: SvdFactors, r: int) -> SubspaceSplit:
         u_nr=f.u[:, r:].copy(),
         s_nr=f.s[r:].copy(),
         v_nr=f.v[:, r:].copy(),
-        frozen_frob_sq=float(np.sum(f.s * f.s)),
+        frozen_frob_sq=float(sum_sq(f.s, what="split matrix")),
     )
 
 
@@ -103,15 +103,18 @@ def reconstruct(sp: SubspaceSplit):
     return (sp.u_r * sp.s_r) @ sp.v_r.T
 
 
-def frobenius_sq(m) -> float:
-    """Sum of squared entries (equals the sum of squared singular values);
-    NumericalError if it overflows."""
-    a = check_matrix(m, "matrix")
+def sum_sq(a, axis=None, what="matrix"):
+    """Sum of squared entries over ``axis``; NumericalError on overflow."""
     with np.errstate(over="ignore"):
-        total = float(np.sum(a * a))
-    if not np.isfinite(total):
-        raise NumericalError("squared Frobenius norm of the matrix overflows")
+        total = np.add.reduce(a * a, axis=axis)
+    if not np.logical_and.reduce(np.isfinite(total), axis=None):
+        raise NumericalError(f"squared Frobenius norm of the {what} overflows")
     return total
+
+
+def frobenius_sq(m) -> float:
+    """Sum of squared entries of a matrix; NumericalError if it overflows."""
+    return float(sum_sq(check_matrix(m, "matrix")))
 
 
 def sym_eig(a, label="matrix"):
@@ -147,8 +150,9 @@ def _covariance(x, what):
     samples = x.shape[0]
     if samples < 2:
         raise ValidationError(f"{what} needs at least 2 samples")
-    centered = x - x.mean(axis=0)
-    cov = centered.T @ centered / (samples - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = x - x.mean(axis=0)
+        cov = centered.T @ centered / (samples - 1)
     if not np.isfinite(cov).all():
         raise NumericalError("covariance of the features is not finite")
     return cov

@@ -167,9 +167,9 @@ def adapt_model(pretrained: ToyModel, regime, rank, seed, reg=None):
 def _softmax_parts(z):
     """(shifted, exp(shifted), row sums) along the last axis, the sums kept
     as a column; softmax = exp(shifted) / sums."""
-    shifted = z - z.max(axis=-1, keepdims=True)
+    shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return shifted, e, e.sum(axis=-1, keepdims=True)
+    return shifted, e, np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def _softmax(z):
@@ -207,7 +207,7 @@ def _forward(model: ToyModel, xa, train=False):
         for b in range(model.cfg.depth):
             z = h @ weights[b].T
             h_new = np.tanh(z)
-            if not np.isfinite(h_new).all():
+            if not np.logical_and.reduce(np.isfinite(h_new), axis=None):
                 raise NumericalError(f"non-finite activations in block {b}")
             if train:
                 cache["blocks"].append({"h_in": h, "h_out": h_new})
@@ -225,12 +225,12 @@ def _forward(model: ToyModel, xa, train=False):
             p = _softmax((q @ k.swapaxes(1, 2)) * inv_sqrt)
             ctx = p @ v
             h_new = h + _rows_matmul(ctx, wo.T)
-            if not np.isfinite(h_new).all():
+            if not np.logical_and.reduce(np.isfinite(h_new), axis=None):
                 raise NumericalError(f"non-finite activations in block {b}")
             if train:
                 cache["blocks"].append({"h_in": h, "q": q, "k": k, "v": v, "p": p, "ctx": ctx})
             h = h_new
-        features = h.mean(axis=1)
+        features = np.add.reduce(h, axis=1) / L
 
     logits = features @ model.head_w.T + model.head_b
     if train:
@@ -276,11 +276,11 @@ def cls_loss_and_grad(logits, labels):
     shifted, e, sums = _softmax_parts(logits)
     rows = np.arange(e.shape[0])
     per_sample = np.log(sums[:, 0]) - shifted[rows, y]
-    real = float(per_sample[y == 0].mean()) if (y == 0).any() else float("nan")
-    fake = float(per_sample[y == 1].mean()) if (y == 1).any() else float("nan")
+    real, fake = (float(np.add.reduce(x) / x.size) if x.size else float("nan")
+                  for x in (per_sample[y == 0], per_sample[y == 1]))
     p = e / sums
     p[rows, y] -= 1.0
-    return float(per_sample.mean()), real, fake, p / e.shape[0]
+    return float(np.add.reduce(per_sample) / per_sample.size), real, fake, p / e.shape[0]
 
 
 def model_backward(model: ToyModel, dlogits):
@@ -298,7 +298,7 @@ def model_backward(model: ToyModel, dlogits):
     if dlog.shape != (features.shape[0], model.head_dim):
         raise ValidationError(f"dlogits shape {dlog.shape} does not match forward")
 
-    head = {"head.w": dlog.T @ features, "head.b": dlog.sum(axis=0)}
+    head = {"head.w": dlog.T @ features, "head.b": np.add.reduce(dlog, axis=0)}
     if not model.stack.trainable():
         return head
     weights = cache["weights"]
@@ -324,7 +324,7 @@ def model_backward(model: ToyModel, dlogits):
             dw[4 * b + 3] = _flat_weight_grad(dh, ctx)
             dp = dctx @ v.swapaxes(1, 2)
             dv = p.swapaxes(1, 2) @ dctx
-            dscores = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+            dscores = p * (dp - np.add.reduce(dp * p, axis=-1, keepdims=True))
             dq = (dscores @ k) * inv_sqrt
             dk = (dscores.swapaxes(1, 2) @ q) * inv_sqrt
             dw[4 * b:4 * b + 3] = [_flat_weight_grad(d, h_in) for d in (dq, dk, dv)]

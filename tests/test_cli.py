@@ -483,6 +483,17 @@ class TestSvdSplitAnalyze:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    def test_analyze_covariance_overflow_prints_one_error(self, tmp_path, capsys):
+        # finite features whose covariance overflows; run without np.errstate,
+        # so a NumPy warning would end the test or reach stderr
+        src = tmp_path / "huge.emx"
+        write_emx(src, np.array([[0.0], [1e308]]))
+        out = tmp_path / "an"
+        assert main(["analyze", str(src), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not out.exists()
+
     def test_analyze_rank_one(self, tmp_path):
         rng = np.random.default_rng(1)
         x = np.outer(rng.standard_normal(64), rng.standard_normal(5))

@@ -1,6 +1,8 @@
 """SVD, eigendecomposition, subspace splits, and PCA spectra against
 independent oracles and properties."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,6 +178,17 @@ class TestSvd:
 
 
 class TestSplit:
+    def test_overflow_is_numerical_error(self):
+        # a finite SVD whose squared norm overflows; "error" turns a NumPy
+        # overflow warning into an exception of another type, so a warning
+        # that escaped would fail the test whatever pytest's filter says
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="overflows"):
+                split(svd(np.array([[1e200, 0.0], [0.0, 1.0]])), 1)
+            with pytest.raises(NumericalError, match="overflows"):
+                SvdResidualAdapter([[1e200, 0.0], [0.0, 1.0]], 1)
+
     def test_full_retention(self):
         m = np.random.default_rng(8).standard_normal((6, 6))
         sp = split(svd(m), 6)

@@ -5,7 +5,11 @@ of the per-adapter code the package used before its adapters were stacked:
 each adapter's effective weight and weight gradient, a forward and a
 backward pass that call them one matrix at a time, cls_loss and
 cls_loss_grad as two softmaxes, the regularizers as one reg_terms per
-adapter, and one adam_step over a dict with one entry per tensor. train()
+adapter, and one adam_step over a dict with one entry per tensor. The energy
+term of that reg_terms takes the package's factor form (||W_eff||^2 and its
+gradients from W_p V, W_p^T U and the k x k Grams);
+``tests/test_adapters.py::TestFactorEnergy`` bounds its distance from the
+dense W_eff form it replaced. train()
 and pretrain() stack the adapters, fuse the loss with its gradient, keep
 every trainable tensor in one flat buffer and take one adam_step per step;
 only the grouping of the same IEEE operations differs, so the two must agree
@@ -72,11 +76,17 @@ def ref_reg_terms(a, lambda1, lambda2):
             grads[key] = 4.0 * lambda1 * (frozen @ cross + f @ gram)
         orth = float(orth)
     if lambda2 > 0:
-        w_eff = ref_weight(a)
-        drift = float((w_eff * w_eff).sum()) - a.frozen_frob_sq
+        # ||W_eff||^2 and its gradients from the factors, W_eff = W_p + U S V^T
+        w_p, u, s, v = a._w_principal, a.u, a.s, a.v
+        wp_v = w_p @ v
+        w_v = wp_v + (u * s) @ (v.T @ v)  # W_eff V
+        w_t_u = w_p.T @ u + (v * s) @ (u.T @ u)  # W_eff^T U
+        cross, full = (u * wp_v).sum(axis=0), (u * w_v).sum(axis=0)
+        drift = float((w_p * w_p).sum()) + float((s * (cross + full)).sum()) - a.frozen_frob_sq
         sv = abs(drift)
         sign = 0.0 if drift == 0.0 else (1.0 if drift > 0 else -1.0)
-        for key, g in ref_weight_grad(a, 2.0 * sign * lambda2 * w_eff).items():
+        c = 2.0 * sign * lambda2
+        for key, g in (("u", w_v * (c * s)), ("s", c * full), ("v", w_t_u * (c * s))):
             grads[key] = grads.get(key, 0.0) + g
     return orth, sv, grads
 
