@@ -32,7 +32,7 @@ from .experiment import (
     roc_auc,
     train,
 )
-from .linalg import frobenius_sq, pca_spectrum, reconstruct, split, svd, sym_eig
+from .linalg import frobenius_sq, pca, reconstruct, split, svd, sym_eig
 from .model import BackboneConfig, ToyModel, adapt_model, cls_loss, init_model, model_forward
 
 __version__ = "0.1.0"

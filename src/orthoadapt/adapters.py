@@ -21,13 +21,12 @@ are written for both cases, so one call of each serves all m matrices.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .emx import read_emx, write_emx
+from .emx import read_emx, read_json, write_emx, write_json
 from .errors import FormatError, ValidationError, check_field_types
 from .linalg import SubspaceSplit, check_matrix, reconstruct, split, sum_sq, svd
 
@@ -95,8 +94,7 @@ class _Adapter:
         tensors, fields = self._saved()
         for stem, a in tensors.items():
             write_emx(d / f"{stem}.emx", a.reshape(a.shape[0], -1))
-        text = json.dumps({"kind": self.kind, "n": self.n, **fields}, sort_keys=True, indent=2)
-        (d / "manifest.json").write_text(text + "\n")
+        write_json(d / "manifest.json", {"kind": self.kind, "n": self.n, **fields})
 
     @classmethod
     def _load(cls, d, n, manifest):
@@ -155,10 +153,6 @@ class SvdResidualAdapter(_Adapter):
         self = cls.__new__(cls)
         self._init_from_split(n, sp, reg)
         return self
-
-    @property
-    def residual_rank(self):
-        return self.n - self.split.r
 
     def effective_weight(self):
         return self._w_principal + (self.u * self.s[..., None, :]) @ _t(self.v)
@@ -363,25 +357,10 @@ def stack_adapters(adapters):
     return st
 
 
-def read_manifest(directory, what):
-    """The JSON object in ``directory/manifest.json``; FormatError if it is
-    missing, unreadable or not an object."""
-    path = Path(directory) / "manifest.json"
-    if not path.exists():
-        raise FormatError(f"{directory}: missing {what} manifest")
-    try:
-        manifest = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
-        raise FormatError(f"{path}: unreadable {what} manifest: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise FormatError(f"{path}: {what} manifest is not a JSON object")
-    return manifest
-
-
 def load_adapter(directory):
     """Restore any adapter saved by ``.save()``; byte-stable round trip."""
     d = Path(directory)
-    manifest = read_manifest(d, "adapter")
+    manifest = read_json(d / "manifest.json", "adapter manifest")
     kind = manifest.get("kind")
     if not isinstance(kind, str) or kind not in KINDS:
         raise FormatError(f"{d}: unknown adapter kind {kind!r}")

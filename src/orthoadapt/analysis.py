@@ -7,15 +7,15 @@ fit, and PCA projections for export.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
+from .emx import csv_text
 from .errors import ValidationError
-from .linalg import check_matrix, pca_directions, pca_spectrum
+from .linalg import check_matrix, pca
 
 
 @dataclass
@@ -27,14 +27,9 @@ class RankReport:
     zero_variance: bool = False
 
     def to_csv(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["component", "explained_variance_ratio", "cumulative_ratio"])
-        cum = 0.0
-        for i, ratio in enumerate(self.spectrum):
-            cum += float(ratio)
-            writer.writerow([i + 1, repr(float(ratio)), repr(cum)])
-        return buf.getvalue()
+        ratios = self.spectrum.tolist()
+        return csv_text(["component", "explained_variance_ratio", "cumulative_ratio"],
+                        zip(range(1, len(ratios) + 1), ratios, accumulate(ratios)))
 
 
 def effective_rank(features, threshold=0.9, source="") -> RankReport:
@@ -42,14 +37,14 @@ def effective_rank(features, threshold=0.9, source="") -> RankReport:
     variance reaches ``threshold``; 0 (flagged) for zero-variance data."""
     if not 0.0 < threshold <= 1.0:
         raise ValidationError("threshold must lie in (0, 1]")
-    spec = pca_spectrum(features)
-    if spec.zero_variance:
-        return RankReport(spectrum=spec.ratios, effective_rank=0,
+    w, _ = pca(features)
+    total = float(w.sum())
+    if total <= 0.0:
+        return RankReport(spectrum=np.zeros(w.shape[0]), effective_rank=0,
                           threshold=threshold, source=source, zero_variance=True)
-    cumulative = np.cumsum(spec.ratios)
-    k = int(np.searchsorted(cumulative, threshold - 1e-12) + 1)
-    k = min(k, len(spec.ratios))
-    return RankReport(spectrum=spec.ratios, effective_rank=k,
+    ratios = w / total
+    k = int(np.searchsorted(np.cumsum(ratios), threshold - 1e-12) + 1)
+    return RankReport(spectrum=ratios, effective_rank=min(k, len(ratios)),
                       threshold=threshold, source=source)
 
 
@@ -145,6 +140,5 @@ def projection_export(features, k):
     x = check_matrix(features, "features")
     if not 1 <= k <= x.shape[1]:
         raise ValidationError(f"k={k} out of range [1, {x.shape[1]}]")
-    _, dirs = pca_directions(x, k)
-    centered = x - x.mean(axis=0)
-    return centered @ dirs
+    _, dirs = pca(x)
+    return (x - x.mean(axis=0)) @ dirs[:, :k]

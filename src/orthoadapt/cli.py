@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .analysis import effective_rank, projection_export
 from .data import SyntheticSpec
-from .emx import read_emx, write_emx
+from .emx import csv_text, json_text, read_emx, read_json, write_emx, write_json
 from .errors import (
     ConfigError,
     FormatError,
@@ -117,10 +117,6 @@ def _prepare_out(path, force, marker="summary.json"):
     return out
 
 
-def _write_json(path, payload):
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
 def cmd_pretrain(args):
     raw = load_config(args.config)
     spec, backbone, pre_cfg, _, _ = build_config(raw, args.seed)
@@ -132,12 +128,10 @@ def cmd_pretrain(args):
         "spec": _spec_echo(spec),
         "pretrain": asdict(pre_cfg),
     })
-    lines = ["iter,loss"] + [f"{i},{v!r}" for i, v in enumerate(result.loss_trace)]
-    (out / "pretrain_trace.csv").write_text("\n".join(lines) + "\n")
-    acc_lines = ["iter,accuracy"] + [f"{i},{a!r}" for i, a in result.accuracy_trace]
-    (out / "pretrain_accuracy.csv").write_text("\n".join(acc_lines) + "\n")
-    if args.verbose:
-        print(f"pretrained to accuracy {result.accuracy:.3f} in {result.iterations} iterations")
+    (out / "pretrain_trace.csv").write_text(
+        csv_text(["iter", "loss"], enumerate(result.loss_trace)))
+    (out / "pretrain_accuracy.csv").write_text(
+        csv_text(["iter", "accuracy"], result.accuracy_trace))
     print(f"checkpoint written to {out}")
     return 0
 
@@ -180,7 +174,7 @@ def cmd_finetune(args):
     (out / "trace.csv").write_text(report.trace_csv())
     summary = report.summary()
     summary["spec"] = _spec_echo(spec)
-    _write_json(out / "summary.json", summary)
+    write_json(out / "summary.json", summary)
     if report.error:
         print(f"training aborted: {report.error}", file=sys.stderr)
         return 2
@@ -199,7 +193,7 @@ def cmd_sweep(args):
         seeds=sweep_cfg.get("seeds", [0]),
     )
     (out / "sweep.csv").write_text(sweep_csv(rows))
-    _write_json(out / "summary.json", {
+    write_json(out / "summary.json", {
         "cells": len(rows),
         "train": asdict(train_cfg),
         "spec": _spec_echo(spec),
@@ -224,7 +218,7 @@ def cmd_svd_split(args):
         if arr.size:
             write_emx(out / f"{name}.emx", arr)
             manifest["files"][name] = list(arr.shape)
-    _write_json(out / "manifest.json", manifest)
+    write_json(out / "manifest.json", manifest)
     print(f"split written to {out}")
     return 0
 
@@ -237,7 +231,7 @@ def cmd_analyze(args):
     (out / "rank_report.csv").write_text(rep.to_csv())
     if projection is not None:
         write_emx(out / "projection.emx", projection)
-    _write_json(out / "summary.json", {
+    write_json(out / "summary.json", {
         "effective_rank": rep.effective_rank,
         "threshold": rep.threshold,
         "zero_variance": rep.zero_variance,
@@ -248,25 +242,18 @@ def cmd_analyze(args):
     return 0
 
 
-def _read_json(path):
-    try:
-        return json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
-        raise FormatError(f"{path} is not readable JSON: {exc}") from exc
-
-
 def cmd_report(args):
     run = Path(args.run)
     summary = run / "summary.json"
     sweep = run / "sweep.csv"
     manifest = run / "manifest.json"
     if summary.exists():
-        print(json.dumps(_read_json(summary), sort_keys=True, indent=2))
+        print(json_text(read_json(summary, "run summary")))
         if sweep.exists():
             print(sweep.read_text().rstrip())
         return 0
     if manifest.exists():
-        print(json.dumps(_read_json(manifest), sort_keys=True, indent=2))
+        print(json_text(read_json(manifest, "run manifest")))
         return 0
     raise ConfigError(f"no summary.json or manifest.json under {run}")
 
@@ -281,7 +268,6 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--force", action="store_true")
-    p.add_argument("-v", "--verbose", action="store_true")
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="fine-tune a checkpoint on the forgery task")

@@ -1,9 +1,15 @@
-"""EMX v1 matrix files.
+"""On-disk formats: EMX v1 matrix files, CSV tables and JSON objects.
 
-Layout: magic b"EMX1", rows and cols as 64-bit little-endian unsigned
+EMX layout: magic b"EMX1", rows and cols as 64-bit little-endian unsigned
 integers, then rows*cols IEEE-754 float64 values, little-endian, row-major.
+CSV tables end each line with a bare newline and write floats as their
+shortest round-trip text; JSON objects are written with sorted keys and an
+indent of 2.
 """
 
+import csv
+import io
+import json
 import struct
 from pathlib import Path
 
@@ -44,3 +50,37 @@ def read_emx(path):
         return check_matrix(data, str(path))
     except ValidationError as exc:
         raise FormatError(str(exc)) from exc
+
+
+def csv_text(header, rows):
+    """A CSV table: the header row, then ``rows``; ``None`` is written empty."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def json_text(obj):
+    """``obj`` as JSON with sorted keys and an indent of 2, no final newline."""
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+def write_json(path, obj):
+    """Write ``obj`` as ``json_text`` plus one trailing newline."""
+    Path(path).write_text(json_text(obj) + "\n")
+
+
+def read_json(path, what):
+    """The JSON object in ``path``; FormatError naming ``what`` if the file is
+    missing, unreadable or not an object."""
+    path = Path(path)
+    if not path.exists():
+        raise FormatError(f"{path.parent}: missing {what}")
+    try:
+        obj = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise FormatError(f"{path}: unreadable {what}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise FormatError(f"{path}: {what} is not a JSON object")
+    return obj

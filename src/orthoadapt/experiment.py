@@ -9,8 +9,6 @@ config and seed.
 
 from __future__ import annotations
 
-import csv
-import io
 from array import array
 from dataclasses import asdict, dataclass, field, replace
 
@@ -18,6 +16,7 @@ import numpy as np
 
 from .analysis import effective_rank
 from .data import Dataset, SyntheticSpec, gen_dataset
+from .emx import csv_text
 from .errors import (
     ConfigError,
     NumericalError,
@@ -112,13 +111,9 @@ class ExperimentReport:
     error: str = None
 
     def trace_csv(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["iter", "total_loss", "real_loss", "fake_loss", "orth_loss", "sv_loss"])
-        for row in zip(self.iters, self.total_loss, self.real_loss,
-                       self.fake_loss, self.orth_loss, self.sv_loss):
-            writer.writerow([row[0]] + [repr(v) for v in row[1:]])
-        return buf.getvalue()
+        return csv_text(["iter", "total_loss", "real_loss", "fake_loss", "orth_loss", "sv_loss"],
+                        zip(self.iters, self.total_loss, self.real_loss,
+                            self.fake_loss, self.orth_loss, self.sv_loss))
 
     def summary(self):
         return {
@@ -395,10 +390,10 @@ def semantic_accuracy(model, ds):
 def pretrain(backbone: BackboneConfig, spec: SyntheticSpec, cfg: PretrainConfig = None):
     """Train a fully-trainable backbone on the K-way semantic task.
 
-    Stops once held-out accuracy reaches the target (checked every
-    ``eval_every`` iterations) or at the cap; raises PretrainingFailure if the
-    cap is hit below the minimum bar, and NumericalError if a loss, an
-    activation or a gradient is not finite.
+    Held-out accuracy is checked every ``eval_every`` iterations and at the
+    cap, once each; training stops once it reaches the target, or at the cap.
+    Raises PretrainingFailure if the cap is hit below the minimum bar, and
+    NumericalError if a loss, an activation or a gradient is not finite.
     """
     cfg = cfg or PretrainConfig()
     bb = replace(backbone, adapter_kind="full")
@@ -407,19 +402,16 @@ def pretrain(backbone: BackboneConfig, spec: SyntheticSpec, cfg: PretrainConfig 
     trainer = _Trainer(model, train_ds, "pretraining set",
                        substream(cfg.seed, "pretrain-batches"), cfg.batch)
     trace = ExperimentReport(config=asdict(cfg))
-    acc_trace = []
     accuracy = semantic_accuracy(model, eval_ds)
+    acc_trace = [(0, accuracy)] if cfg.max_iters == 0 else []
     for t in range(1, cfg.max_iters + 1):
         if not trainer.step(t, cfg.lr, trace):
             raise NumericalError(f"pretraining loss is not finite at iteration {t - 1}")
-        if t % cfg.eval_every == 0:
+        if t % cfg.eval_every == 0 or t == cfg.max_iters:
             accuracy = semantic_accuracy(model, eval_ds)
             acc_trace.append((t, accuracy))
             if accuracy >= cfg.target_accuracy:
                 break
-    else:
-        accuracy = semantic_accuracy(model, eval_ds)
-        acc_trace.append((cfg.max_iters, accuracy))
     iterations = len(trace.iters)
     if accuracy < cfg.min_accuracy:
         raise PretrainingFailure(
@@ -491,13 +483,4 @@ def rank_sweep(pretrained: ToyModel, spec: SyntheticSpec, base_cfg: TrainConfig,
 
 
 def sweep_csv(rows):
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        out = dict(row)
-        for key in ("auc_seen", "auc_unseen", "acc_seen", "acc_unseen"):
-            if isinstance(out.get(key), float):
-                out[key] = repr(out[key])
-        writer.writerow(out)
-    return buf.getvalue()
+    return csv_text(SWEEP_COLUMNS, ([row.get(k, "") for k in SWEEP_COLUMNS] for row in rows))

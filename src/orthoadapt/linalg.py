@@ -1,7 +1,7 @@
 """Deterministic dense linear algebra.
 
 LAPACK SVD and symmetric eigendecomposition with a fixed sign convention,
-principal/residual subspace splits, Frobenius norms and PCA spectra.
+principal/residual subspace splits, Frobenius norms and PCA.
 Everything here is a pure function of its inputs, so identical input bytes
 give identical output bytes.
 """
@@ -136,45 +136,19 @@ def sym_eig(a, label="matrix"):
     return w, q
 
 
-@dataclass
-class PcaSpectrum:
-    """Explained-variance ratios, descending; flagged when total variance is 0."""
-
-    ratios: np.ndarray
-    zero_variance: bool
-
-
-def _covariance(x, what):
-    """Sample covariance (ddof=1) of finite rows; NumericalError if it
-    overflows, which finite but huge features (a diverged model's) do."""
+def pca(features):
+    """Eigenvalues of the sample covariance (ddof=1), descending and clipped
+    at 0, and the matching orthonormal eigenvector columns. ValidationError
+    below 2 samples; NumericalError if the covariance overflows, which finite
+    but huge features (a diverged model's) do."""
+    x = check_matrix(features, "features")
     samples = x.shape[0]
     if samples < 2:
-        raise ValidationError(f"{what} needs at least 2 samples")
+        raise ValidationError("pca needs at least 2 samples")
     with np.errstate(over="ignore", invalid="ignore"):
         centered = x - x.mean(axis=0)
         cov = centered.T @ centered / (samples - 1)
     if not np.isfinite(cov).all():
         raise NumericalError("covariance of the features is not finite")
-    return cov
-
-
-def pca_spectrum(features) -> PcaSpectrum:
-    """Explained-variance ratios of the sample covariance (ddof=1)."""
-    x = check_matrix(features, "features")
-    dims = x.shape[1]
-    w, _ = sym_eig(_covariance(x, "pca_spectrum"), "covariance")
-    w = np.clip(w, 0.0, None)
-    total = float(w.sum())
-    if total <= 0.0:
-        return PcaSpectrum(ratios=np.zeros(dims), zero_variance=True)
-    return PcaSpectrum(ratios=w / total, zero_variance=False)
-
-
-def pca_directions(features, k):
-    """Top-k principal directions (columns) and eigenvalues of the covariance."""
-    x = check_matrix(features, "features")
-    dims = x.shape[1]
-    if not 1 <= k <= dims:
-        raise ValidationError(f"k={k} out of range [1, {dims}]")
-    w, q = sym_eig(_covariance(x, "pca_directions"), "covariance")
-    return np.clip(w[:k], 0.0, None), q[:, :k]
+    w, q = sym_eig(cov, "covariance")
+    return np.clip(w, 0.0, None), q

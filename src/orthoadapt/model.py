@@ -17,7 +17,6 @@ weights; ``model_backward`` replays them for exact reverse-mode gradients.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -29,10 +28,9 @@ from .adapters import (
     LoraAdapter,
     SvdResidualAdapter,
     load_adapter,
-    read_manifest,
     stack_adapters,
 )
-from .emx import read_emx, write_emx
+from .emx import read_emx, read_json, write_emx, write_json
 from .errors import (
     ConfigError,
     FormatError,
@@ -353,7 +351,7 @@ def save_model(model: ToyModel, directory, extra=None):
     manifest = {"format": CHECKPOINT_FORMAT, "backbone": asdict(model.cfg)}
     if extra:
         manifest.update(extra)
-    (d / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    write_json(d / "manifest.json", manifest)
 
 
 def load_model(directory):
@@ -361,7 +359,7 @@ def load_model(directory):
     manifest's ``format`` is not ``CHECKPOINT_FORMAT``, or a tensor's shape
     or an adapter's kind disagrees with the manifest's ``backbone``."""
     d = Path(directory)
-    manifest = read_manifest(d, "checkpoint")
+    manifest = read_json(d / "manifest.json", "checkpoint manifest")
     if manifest.get("format") != CHECKPOINT_FORMAT:
         raise FormatError(f"{d}: checkpoint format {manifest.get('format')!r}, "
                           f"expected {CHECKPOINT_FORMAT!r}")

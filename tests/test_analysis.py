@@ -11,6 +11,7 @@ from orthoadapt.analysis import (
 )
 from orthoadapt.errors import ValidationError
 from orthoadapt.experiment import ExperimentReport
+from orthoadapt.linalg import pca
 
 
 def dct_columns(n, k):
@@ -173,8 +174,7 @@ class TestProjectionExport:
 
     def test_column_variance_matches_eigenvalue(self):
         x = np.random.default_rng(10).standard_normal((300, 6)) * np.arange(1, 7)
-        from orthoadapt.linalg import pca_directions
-        eigvals, _ = pca_directions(x, 3)
+        eigvals, _ = pca(x)
         coords = projection_export(x, 3)
         for j in range(3):
             assert abs(np.var(coords[:, j], ddof=1) - eigvals[j]) <= 1e-8 * max(eigvals[j], 1.0)

@@ -1,4 +1,4 @@
-"""EMX v1 binary matrix format."""
+"""On-disk formats: EMX v1 binary matrices, CSV tables and JSON objects."""
 
 import struct
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from orthoadapt.emx import MAGIC, read_emx, write_emx
+from orthoadapt.emx import MAGIC, csv_text, read_emx, read_json, write_emx, write_json
 from orthoadapt.errors import FormatError, ValidationError
 
 
@@ -86,3 +86,24 @@ def test_random_header_reads_or_raises_format_error(tmp_path, magic, rows, cols,
     except FormatError:
         return
     assert a.shape == (rows, cols) and np.isfinite(a).all()
+
+
+def test_csv_and_json_text(tmp_path):
+    rows = [[1, float("nan"), float("inf")], [2, 5e-324, np.float64(0.1)],
+            [3, None, 'a,"b']]
+    assert csv_text(["i", "x", "y"], rows) == (
+        'i,x,y\n1,nan,inf\n2,5e-324,0.1\n3,,"a,""b"\n')
+
+    path = tmp_path / "obj.json"
+    write_json(path, {"b": [1, 0.5], "a": None})
+    assert path.read_bytes() == b'{\n  "a": null,\n  "b": [\n    1,\n    0.5\n  ]\n}\n'
+    assert read_json(path, "test object") == {"a": None, "b": [1, 0.5]}
+
+    with pytest.raises(FormatError, match="missing test object$"):
+        read_json(tmp_path / "absent.json", "test object")
+    (tmp_path / "bad.json").write_text("{")
+    with pytest.raises(FormatError, match="unreadable test object: "):
+        read_json(tmp_path / "bad.json", "test object")
+    (tmp_path / "list.json").write_text("[1]\n")
+    with pytest.raises(FormatError, match="test object is not a JSON object$"):
+        read_json(tmp_path / "list.json", "test object")

@@ -305,6 +305,19 @@ class TestPretrain:
             pretrain(bb, spec, PretrainConfig(seed=0, max_iters=1, eval_every=1,
                                               target_accuracy=1.1, min_accuracy=1.1))
 
+    @pytest.mark.parametrize("max_iters,eval_every", [(0, 50), (60, 20), (70, 20)])
+    def test_accuracy_trace_evaluates_each_iteration_once(self, max_iters, eval_every):
+        # the target is out of reach, so every run ends at the cap, which is
+        # evaluated once whether or not it is a multiple of eval_every
+        spec = SyntheticSpec(dim=16, clusters=4, samples_per_split=128, seed=0)
+        bb = BackboneConfig(kind="mlp", dim=16, depth=1, seq_len=1)
+        result = pretrain(bb, spec, PretrainConfig(max_iters=max_iters, eval_every=eval_every,
+                                                   target_accuracy=2.0, min_accuracy=0.0))
+        iters = [t for t, _ in result.accuracy_trace]
+        assert iters[-1] == max_iters
+        assert all(a < b for a, b in zip(iters, iters[1:]))
+        assert iters == sorted({*range(eval_every, max_iters + 1, eval_every), max_iters})
+        assert result.accuracy == result.accuracy_trace[-1][1]
 
     def test_non_finite_loss_raises(self):
         # at lr 1e307 the head's logits overflow on the second step: the loss

@@ -1,4 +1,4 @@
-"""SVD, eigendecomposition, subspace splits, and PCA spectra against
+"""SVD, eigendecomposition, subspace splits, and PCA against
 independent oracles and properties."""
 
 import warnings
@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from orthoadapt.adapters import SvdResidualAdapter
 from orthoadapt.errors import NumericalError, ValidationError
+from orthoadapt.analysis import effective_rank
 from orthoadapt.linalg import (
-    PcaSpectrum,
     check_matrix,
     frobenius_sq,
-    pca_spectrum,
+    pca,
     reconstruct,
     split,
     svd,
@@ -283,19 +283,24 @@ class TestSymEig:
         assert_sign_convention(q)
 
 
+def pca_ratios(x):
+    """Explained-variance ratios of ``pca``: its eigenvalues over their sum."""
+    w, _ = pca(x)
+    return w / w.sum()
+
+
 class TestPcaSpectrum:
     def test_rank_one_data(self):
         rng = np.random.default_rng(16)
         x = np.outer(rng.standard_normal(50), rng.standard_normal(4)) + 3.0
-        spec = pca_spectrum(x)
-        assert not spec.zero_variance
-        np.testing.assert_allclose(spec.ratios[0], 1.0, atol=1e-10)
-        np.testing.assert_allclose(spec.ratios[1:], 0.0, atol=1e-10)
+        ratios = pca_ratios(x)
+        np.testing.assert_allclose(ratios[0], 1.0, atol=1e-10)
+        np.testing.assert_allclose(ratios[1:], 0.0, atol=1e-10)
 
     def test_isotropic_band(self):
         x = np.random.default_rng(17).standard_normal((10_000, 5))
-        spec = pca_spectrum(x)
-        assert np.all(spec.ratios >= 0.16) and np.all(spec.ratios <= 0.24)
+        ratios = pca_ratios(x)
+        assert np.all(ratios >= 0.16) and np.all(ratios <= 0.24)
 
     def test_constructed_two_direction_covariance(self):
         rng = np.random.default_rng(18)
@@ -303,23 +308,28 @@ class TestPcaSpectrum:
         x = np.zeros((n, 6))
         x[:, 0] = 3.0 * rng.standard_normal(n)  # variance 9
         x[:, 1] = 1.0 * rng.standard_normal(n)  # variance 1
-        spec = pca_spectrum(x)
-        assert abs(spec.ratios[0] - 0.9) <= 0.02
-        assert abs(spec.ratios[1] - 0.1) <= 0.02
+        ratios = pca_ratios(x)
+        assert abs(ratios[0] - 0.9) <= 0.02
+        assert abs(ratios[1] - 0.1) <= 0.02
 
     def test_properties(self):
         x = np.random.default_rng(19).standard_normal((64, 8))
-        spec = pca_spectrum(x)
-        assert np.all(spec.ratios >= 0)
-        assert np.all(np.diff(spec.ratios) <= 1e-12)
-        assert abs(spec.ratios.sum() - 1.0) <= 1e-10
+        w, q = pca(x)
+        ratios = w / w.sum()
+        assert np.all(ratios >= 0)
+        assert np.all(np.diff(ratios) <= 1e-12)
+        assert abs(ratios.sum() - 1.0) <= 1e-10
+        np.testing.assert_allclose(q.T @ q, np.eye(8), atol=1e-12)
+        cov = np.cov(x, rowvar=False)
+        np.testing.assert_allclose(cov @ q, q * w, atol=1e-12)
 
     def test_zero_variance_flag(self):
-        spec = pca_spectrum(np.ones((10, 3)))
-        assert isinstance(spec, PcaSpectrum)
-        assert spec.zero_variance
-        assert np.all(spec.ratios == 0)
+        w, _ = pca(np.ones((10, 3)))
+        assert np.all(w == 0)
+        rep = effective_rank(np.ones((10, 3)))
+        assert rep.zero_variance and rep.effective_rank == 0
+        assert np.all(rep.spectrum == 0) and rep.spectrum.shape == (3,)
 
     def test_needs_two_samples(self):
         with pytest.raises(ValidationError):
-            pca_spectrum(np.ones((1, 3)))
+            pca(np.ones((1, 3)))

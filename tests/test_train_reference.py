@@ -280,9 +280,10 @@ def reference_pretrain(backbone, spec, cfg):
                   cfg.lr, t=t)
         if t % cfg.eval_every == 0:
             acc_trace.append((t, semantic_accuracy(model, eval_ds)))
-    # target_accuracy is out of reach, so the run ends at the cap with one
-    # more evaluation
-    acc_trace.append((cfg.max_iters, semantic_accuracy(model, eval_ds)))
+    # target_accuracy is out of reach, so the run ends at the cap, which is
+    # evaluated once: by the loop above if it is a multiple of eval_every
+    if cfg.max_iters % cfg.eval_every:
+        acc_trace.append((cfg.max_iters, semantic_accuracy(model, eval_ds)))
     return model, losses, acc_trace
 
 
