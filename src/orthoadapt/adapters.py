@@ -173,44 +173,52 @@ class SvdResidualAdapter(_Adapter):
         sv hold one entry per matrix; for one adapter they are floats.
 
         orth is ||[U_r, U]^T [U_r, U] - I||^2 + the same for V, taken blockwise
-        as ||U_r^T U_r - I||^2 + 2 ||U_r^T U||^2 + ||U^T U - I||^2. sv is
-        | ||W_eff||^2 - ||W_init||^2 | for W_eff = W_p + U S V^T, from ||W_p||^2
-        + tr(S U^T W_p V) + tr(S U^T W_eff V); W_eff V = W_p V + U S V^T V and
-        W_eff^T U = W_p^T U + V S U^T U cost two n x k products with W_p. The
-        frozen ||U_r^T U_r - I||^2 + ||V_r^T V_r - I||^2 and ||W_p||^2 are
-        computed on the first call that needs them (NumericalError on overflow).
+        as ||U_r^T U_r - I||^2 + 2 ||C_u||^2 + ||U^T U - I||^2 with C_u =
+        U_r^T U. sv is | ||W_eff||^2 - ||W_init||^2 | for W_eff = W_p + U S V^T,
+        from ||W_p||^2 + tr(S U^T W_p V) + tr(S U^T W_eff V). As W_p = U_r S_r
+        V_r^T, W_p V = U_r S_r C_v and W_p^T U = V_r S_r C_u, so
+        diag(U^T W_p V) needs no n-row product, and the gradient of U is
+        U_r R + U K, where the r x k R and the k x k K each sum both terms'
+        parts (likewise V). A call thus makes four n x r products (C_u, C_v
+        and the two fold-backs); a lambda2-only call too, about twice the two
+        W_p products it alone needs. W_p is read once, for ||W_p||^2. That and
+        the frozen ||U_r^T U_r - I||^2 + ||V_r^T V_r - I||^2 are computed on
+        the first call that needs them (NumericalError on overflow).
         """
         grads = {}
         orth = sv = np.zeros(self.s.shape[:-1])
-        u, s, v = self.u, self.s, self.v
-        grams = {"u": _t(u) @ u, "v": _t(v) @ v}
-        if lambda1 > 0:
-            sp = self.split
-            if self._frozen_orth is None:
-                eye = np.eye(sp.r)
-                self._frozen_orth = (_sum_sq(_t(sp.u_r) @ sp.u_r - eye)
-                                     + _sum_sq(_t(sp.v_r) @ sp.v_r - eye))
-            orth = self._frozen_orth
-            for key, frozen, f in (("u", sp.u_r, u), ("v", sp.v_r, v)):
-                cross = _t(frozen) @ f
-                gram = grams[key] - self._eye
-                orth = orth + (2.0 * _sum_sq(cross) + _sum_sq(gram))
-                grads[key] = 4.0 * lambda1 * (frozen @ cross + f @ gram)
-        if lambda2 > 0:
-            w_p = self._w_principal
-            if self._principal_sq is None:
-                self._principal_sq = sum_sq(w_p, (-2, -1), "frozen principal weight")
-            wp_v = w_p @ v
-            w_v = wp_v + (u * s[..., None, :]) @ grams["v"]  # W_eff V
-            w_t_u = _t(w_p) @ u + (v * s[..., None, :]) @ grams["u"]  # W_eff^T U
-            cross, full = np.add.reduce(u * wp_v, axis=-2), np.add.reduce(u * w_v, axis=-2)
-            drift = (self._principal_sq + np.add.reduce(s * (cross + full), axis=-1)
-                     - self.frozen_frob_sq)
-            sv = np.abs(drift)
-            c = (2.0 * np.sign(drift) * lambda2)[..., None]
-            cs = (c * s)[..., None, :]
-            for key, g in (("u", w_v * cs), ("s", c * full), ("v", w_t_u * cs)):
-                grads[key] = grads.get(key, 0.0) + g
+        if lambda1 > 0 or lambda2 > 0:
+            u, s, v, sp = self.u, self.s, self.v, self.split
+            c_u, c_v = _t(sp.u_r) @ u, _t(sp.v_r) @ v
+            gram_u, gram_v = _t(u) @ u, _t(v) @ v
+            rhs_u = rhs_v = own_u = own_v = 0.0  # r x k through U_r, V_r; k x k through U, V
+            if lambda1 > 0:
+                if self._frozen_orth is None:
+                    eye = np.eye(sp.r)
+                    self._frozen_orth = (_sum_sq(_t(sp.u_r) @ sp.u_r - eye)
+                                         + _sum_sq(_t(sp.v_r) @ sp.v_r - eye))
+                dev_u, dev_v = gram_u - self._eye, gram_v - self._eye
+                orth = (self._frozen_orth + (2.0 * _sum_sq(c_u) + _sum_sq(dev_u))
+                        + (2.0 * _sum_sq(c_v) + _sum_sq(dev_v)))
+                rhs_u, rhs_v = 4.0 * lambda1 * c_u, 4.0 * lambda1 * c_v
+                own_u, own_v = 4.0 * lambda1 * dev_u, 4.0 * lambda1 * dev_v
+            if lambda2 > 0:
+                if self._principal_sq is None:
+                    self._principal_sq = sum_sq(self._w_principal, (-2, -1),
+                                                "frozen principal weight")
+                sg_u, sg_v = s[..., :, None] * gram_u, s[..., :, None] * gram_v
+                cross = (sp.s_r[..., None, :] @ (c_u * c_v))[..., 0, :]  # diag(U^T W_p V)
+                full = cross + np.add.reduce(gram_u * sg_v, axis=-2)  # diag(U^T W_eff V)
+                drift = (self._principal_sq + np.add.reduce(s * (cross + full), axis=-1)
+                         - self.frozen_frob_sq)
+                sv = np.abs(drift)
+                c = (2.0 * np.sign(drift) * lambda2)[..., None]
+                cs = (c * s)[..., None, :]
+                scs = sp.s_r[..., None] * cs
+                rhs_u, rhs_v = rhs_u + c_v * scs, rhs_v + c_u * scs
+                own_u, own_v = own_u + sg_v * cs, own_v + sg_u * cs
+                grads["s"] = c * full
+            grads["u"], grads["v"] = sp.u_r @ rhs_u + u @ own_u, sp.v_r @ rhs_v + v @ own_v
         if np.ndim(orth) == 0:
             return float(orth), float(sv), grads
         return orth, sv, grads

@@ -317,23 +317,23 @@ def dense_reg_terms(a, lambda1, lambda2):
 
 class TestFactorEnergy:
     """The energy term from the factors against the dense form it replaced:
-    orth keeps its bits, sv and the gradients agree to rounding."""
+    orth keeps its bits, sv and the gradients agree to rounding. W_p V and
+    W_p^T U come from W_p = U_r S_r V_r^T, which holds for any frozen
+    factors, orthonormal or not."""
 
-    @pytest.mark.parametrize("lam1", [0.0, 0.7])
-    @pytest.mark.parametrize("n,k,m", [(6, 2, 1), (32, 4, 1), (256, 1, 1), (1024, 1, 1),
-                                       (6, 2, 5), (32, 4, 3), (256, 1, 2)])
-    def test_matches_dense_energy(self, n, k, m, lam1):
+    @staticmethod
+    def check(n, k, m, lam1, lam2=0.9, frozen_noise=0.0):
         rng = np.random.default_rng(1000 * n + 10 * k + m)
         singles = []
         for _ in range(m):
-            ad = SvdResidualAdapter.from_split(n, perturbed_split(n, k, rng))
+            ad = SvdResidualAdapter.from_split(n, perturbed_split(n, k, rng, frozen_noise))
             for p in ad.trainable().values():
                 p += 0.05 * rng.standard_normal(p.shape)
             singles.append(ad)
-        expect = [dense_reg_terms(a, lam1, 0.9) for a in singles]
-        got = [a.reg_terms(lam1, 0.9) for a in singles]
+        expect = [dense_reg_terms(a, lam1, lam2) for a in singles]
+        got = [a.reg_terms(lam1, lam2) for a in singles]
         if m > 1:  # each row of one stacked call, against the same dense terms
-            orth, sv, grads = stack_adapters(copy.deepcopy(singles)).reg_terms(lam1, 0.9)
+            orth, sv, grads = stack_adapters(copy.deepcopy(singles)).reg_terms(lam1, lam2)
             got += [(orth[i], sv[i], {key: g[i] for key, g in grads.items()}) for i in range(m)]
             expect += expect
         for a, (orth, sv, grads), (d_orth, d_sv, d_grads) in zip(singles * 2, got, expect):
@@ -342,6 +342,39 @@ class TestFactorEnergy:
             assert set(grads) == set(d_grads)
             for key, g in d_grads.items():
                 assert np.abs(grads[key] - g).max() <= 1e-12 * np.abs(g).max(), key
+
+    @pytest.mark.parametrize("lam1", [0.0, 0.7])
+    @pytest.mark.parametrize("n,k,m", [(6, 2, 1), (32, 4, 1), (256, 1, 1), (1024, 1, 1),
+                                       (6, 2, 5), (32, 4, 3), (256, 1, 2)])
+    def test_matches_dense_energy(self, n, k, m, lam1):
+        self.check(n, k, m, lam1)
+
+    @pytest.mark.parametrize("lam1,lam2", [(0.7, 0.0), (0.0, 0.9), (0.7, 0.9)])
+    @pytest.mark.parametrize("n,k,m,frozen_noise", [
+        (32, 4, 3, 0.0),
+        (16, 4, 1, 1e-3), (32, 4, 3, 1e-3),  # frozen factors slightly off orthonormal
+        (6, 6, 1, 0.0), (5, 5, 3, 0.0),  # residual rank n: no frozen part
+    ])
+    def test_any_frozen_factors(self, n, k, m, frozen_noise, lam1, lam2):
+        self.check(n, k, m, lam1, lam2, frozen_noise)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_principal_weight_read_once(self, m):
+        # after the first call has cached ||W_p||^2, W_p is never read again
+        rng = np.random.default_rng(77 + m)
+        members = [SvdResidualAdapter.from_split(32, perturbed_split(32, 4, rng)) for _ in range(m)]
+        for a in members:
+            for p in a.trainable().values():
+                p += 0.05 * rng.standard_normal(p.shape)
+        ad = members[0] if m == 1 else stack_adapters(members)
+        orth, sv, grads = ad.reg_terms(0.7, 0.9)
+        ad._w_principal[...] = np.nan
+        orth2, sv2, grads2 = ad.reg_terms(0.7, 0.9)
+        assert np.asarray(orth2).tobytes() == np.asarray(orth).tobytes()
+        assert np.asarray(sv2).tobytes() == np.asarray(sv).tobytes()
+        assert set(grads2) == set(grads)
+        for key, g in grads.items():
+            assert grads2[key].tobytes() == g.tobytes(), key
 
 
 class TestBackward:

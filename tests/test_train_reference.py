@@ -5,13 +5,15 @@ of the per-adapter code the package used before its adapters were stacked:
 each adapter's effective weight and weight gradient, a forward and a
 backward pass that call them one matrix at a time, cls_loss and
 cls_loss_grad as two softmaxes, the regularizers as one reg_terms per
-adapter, and one adam_step over a dict with one entry per tensor. The energy
-term of that reg_terms takes the package's factor form (||W_eff||^2 and its
-gradients from W_p V, W_p^T U and the k x k Grams);
+adapter, and one adam_step over a dict with one entry per tensor. That
+reg_terms takes the package's factor form: ||W_eff||^2 from the k x k Grams
+and the r x k crosses C_u = U_r^T U and C_v = V_r^T V (W_p V = U_r S_r C_v),
+and the gradient of U (or V) as one r x k right-hand side mapped back
+through U_r (V_r) plus one k x k right-hand side through U (V);
 ``tests/test_adapters.py::TestFactorEnergy`` bounds its distance from the
-dense W_eff form it replaced. train()
-and pretrain() stack the adapters, fuse the loss with its gradient, keep
-every trainable tensor in one flat buffer and take one adam_step per step;
+dense W_eff form it replaced. train() and pretrain() stack the adapters,
+fuse the loss with its gradient, keep every trainable tensor in one flat
+buffer and take one adam_step per step;
 only the grouping of the same IEEE operations differs, so the two must agree
 bit for bit. The attention products take the package's own forms (2-D GEMMs
 on flattened rows, matmuls on swapped axes);
@@ -66,28 +68,37 @@ def ref_reg_terms(a, lambda1, lambda2):
     grads = {}
     orth = 0.0
     sv = 0.0
+    sp, u, s, v = a.split, a.u, a.s, a.v
+    c_u, c_v = sp.u_r.T @ u, sp.v_r.T @ v
+    gram_u, gram_v = u.T @ u, v.T @ v
+    rhs_u = rhs_v = own_u = own_v = 0.0
     if lambda1 > 0:
-        sp = a.split
         orth = sum(np.sum(g * g) for g in (f.T @ f - np.eye(sp.r) for f in (sp.u_r, sp.v_r)))
-        for key, frozen, f in (("u", sp.u_r, a.u), ("v", sp.v_r, a.v)):
-            cross = frozen.T @ f
-            gram = f.T @ f - np.eye(f.shape[1])
-            orth += 2.0 * (cross * cross).sum() + (gram * gram).sum()
-            grads[key] = 4.0 * lambda1 * (frozen @ cross + f @ gram)
+        dev_u, dev_v = gram_u - np.eye(u.shape[1]), gram_v - np.eye(v.shape[1])
+        for cross, dev in ((c_u, dev_u), (c_v, dev_v)):
+            orth += 2.0 * (cross * cross).sum() + (dev * dev).sum()
         orth = float(orth)
+        rhs_u, rhs_v = 4.0 * lambda1 * c_u, 4.0 * lambda1 * c_v
+        own_u, own_v = 4.0 * lambda1 * dev_u, 4.0 * lambda1 * dev_v
     if lambda2 > 0:
         # ||W_eff||^2 and its gradients from the factors, W_eff = W_p + U S V^T
-        w_p, u, s, v = a._w_principal, a.u, a.s, a.v
-        wp_v = w_p @ v
-        w_v = wp_v + (u * s) @ (v.T @ v)  # W_eff V
-        w_t_u = w_p.T @ u + (v * s) @ (u.T @ u)  # W_eff^T U
-        cross, full = (u * wp_v).sum(axis=0), (u * w_v).sum(axis=0)
+        # with W_p = U_r S_r V_r^T: W_p V = U_r S_r C_v, W_p^T U = V_r S_r C_u
+        sg_u, sg_v = s[:, None] * gram_u, s[:, None] * gram_v
+        cross = (sp.s_r[None, :] @ (c_u * c_v))[0]
+        full = cross + (gram_u * sg_v).sum(axis=0)
+        w_p = a._w_principal
         drift = float((w_p * w_p).sum()) + float((s * (cross + full)).sum()) - a.frozen_frob_sq
         sv = abs(drift)
         sign = 0.0 if drift == 0.0 else (1.0 if drift > 0 else -1.0)
         c = 2.0 * sign * lambda2
-        for key, g in (("u", w_v * (c * s)), ("s", c * full), ("v", w_t_u * (c * s))):
-            grads[key] = grads.get(key, 0.0) + g
+        scs = sp.s_r[:, None] * (c * s)
+        rhs_u, rhs_v = rhs_u + c_v * scs, rhs_v + c_u * scs
+        own_u, own_v = own_u + sg_v * (c * s), own_v + sg_u * (c * s)
+        grads["s"] = c * full
+    if lambda1 > 0 or lambda2 > 0:
+        # one r x k right-hand side through U_r or V_r, one k x k through U or V
+        grads["u"] = sp.u_r @ rhs_u + u @ own_u
+        grads["v"] = sp.v_r @ rhs_v + v @ own_v
     return orth, sv, grads
 
 
