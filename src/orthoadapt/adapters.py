@@ -149,7 +149,10 @@ class SvdResidualAdapter(_Adapter):
 
     @classmethod
     def from_split(cls, n, sp, reg=None):
-        """Restore an adapter from stored factors without re-running the SVD."""
+        """Restore an adapter from stored factors without re-running the SVD.
+        The residual starts at (sp.u_nr, sp.s_nr, sp.v_nr); ``reg_terms``
+        takes sp.u_nr and sp.v_nr as an orthonormal basis of the complement
+        of sp.u_r and sp.v_r."""
         self = cls.__new__(cls)
         self._init_from_split(n, sp, reg)
         return self
@@ -173,52 +176,55 @@ class SvdResidualAdapter(_Adapter):
         sv hold one entry per matrix; for one adapter they are floats.
 
         orth is ||[U_r, U]^T [U_r, U] - I||^2 + the same for V, taken blockwise
-        as ||U_r^T U_r - I||^2 + 2 ||C_u||^2 + ||U^T U - I||^2 with C_u =
-        U_r^T U. sv is | ||W_eff||^2 - ||W_init||^2 | for W_eff = W_p + U S V^T,
-        from ||W_p||^2 + tr(S U^T W_p V) + tr(S U^T W_eff V). As W_p = U_r S_r
-        V_r^T, W_p V = U_r S_r C_v and W_p^T U = V_r S_r C_u, so
-        diag(U^T W_p V) needs no n-row product, and the gradient of U is
-        U_r R + U K, where the r x k R and the k x k K each sum both terms'
-        parts (likewise V). A call thus makes four n x r products (C_u, C_v
-        and the two fold-backs); a lambda2-only call too, about twice the two
-        W_p products it alone needs. W_p is read once, for ||W_p||^2. That and
-        the frozen ||U_r^T U_r - I||^2 + ||V_r^T V_r - I||^2 are computed on
-        the first call that needs them (NumericalError on overflow).
+        as ||U_r^T U_r - I||^2 + 2 ||U_r^T U||^2 + ||U^T U - I||^2. The split's
+        u_nr = U0 is an orthonormal basis of the complement of U_r, so U_r U_r^T
+        = I - U0 U0^T and ||U_r^T U||^2 = ||P U||^2 with P U = U - U0 (U0^T U),
+        which costs O(n k^2); its gradient is 4 P U. For frozen factors that are
+        not orthonormal this term is defined as 2 ||P U||^2, the energy of U
+        outside the residual subspace. sv is | ||W_eff||^2 - ||W_init||^2 | for
+        W_eff = W_p + U S V^T, from ||W_p||^2 + tr(S U^T W_p V) + tr(S U^T W_eff
+        V); diag(U^T W_p V) is the column sums of U o W_p V, and the gradient of
+        U is W_p V cs + U K with the k x k K summing both terms' parts (likewise
+        V with W_p^T U). So a call reads W_p twice (a lambda1-only call not at
+        all) and U_r and V_r never: ||W_p||^2 and the frozen ||U_r^T U_r -
+        I||^2 + ||V_r^T V_r - I||^2 are computed on the first call that needs
+        them (NumericalError on overflow).
         """
         grads = {}
         orth = sv = np.zeros(self.s.shape[:-1])
         if lambda1 > 0 or lambda2 > 0:
             u, s, v, sp = self.u, self.s, self.v, self.split
-            c_u, c_v = _t(sp.u_r) @ u, _t(sp.v_r) @ v
             gram_u, gram_v = _t(u) @ u, _t(v) @ v
-            rhs_u = rhs_v = own_u = own_v = 0.0  # r x k through U_r, V_r; k x k through U, V
+            out_u = out_v = own_u = own_v = 0.0  # n x k terms; k x k right-hand sides through U, V
             if lambda1 > 0:
                 if self._frozen_orth is None:
                     eye = np.eye(sp.r)
                     self._frozen_orth = (_sum_sq(_t(sp.u_r) @ sp.u_r - eye)
                                          + _sum_sq(_t(sp.v_r) @ sp.v_r - eye))
+                p_u = u - sp.u_nr @ (_t(sp.u_nr) @ u)
+                p_v = v - sp.v_nr @ (_t(sp.v_nr) @ v)
                 dev_u, dev_v = gram_u - self._eye, gram_v - self._eye
-                orth = (self._frozen_orth + (2.0 * _sum_sq(c_u) + _sum_sq(dev_u))
-                        + (2.0 * _sum_sq(c_v) + _sum_sq(dev_v)))
-                rhs_u, rhs_v = 4.0 * lambda1 * c_u, 4.0 * lambda1 * c_v
+                orth = (self._frozen_orth + (2.0 * _sum_sq(p_u) + _sum_sq(dev_u))
+                        + (2.0 * _sum_sq(p_v) + _sum_sq(dev_v)))
+                out_u, out_v = 4.0 * lambda1 * p_u, 4.0 * lambda1 * p_v
                 own_u, own_v = 4.0 * lambda1 * dev_u, 4.0 * lambda1 * dev_v
             if lambda2 > 0:
+                w_p = self._w_principal
                 if self._principal_sq is None:
-                    self._principal_sq = sum_sq(self._w_principal, (-2, -1),
-                                                "frozen principal weight")
+                    self._principal_sq = sum_sq(w_p, (-2, -1), "frozen principal weight")
+                wp_v, wp_u = w_p @ v, _t(w_p) @ u
                 sg_u, sg_v = s[..., :, None] * gram_u, s[..., :, None] * gram_v
-                cross = (sp.s_r[..., None, :] @ (c_u * c_v))[..., 0, :]  # diag(U^T W_p V)
+                cross = np.add.reduce(u * wp_v, axis=-2)  # diag(U^T W_p V)
                 full = cross + np.add.reduce(gram_u * sg_v, axis=-2)  # diag(U^T W_eff V)
                 drift = (self._principal_sq + np.add.reduce(s * (cross + full), axis=-1)
                          - self.frozen_frob_sq)
                 sv = np.abs(drift)
                 c = (2.0 * np.sign(drift) * lambda2)[..., None]
                 cs = (c * s)[..., None, :]
-                scs = sp.s_r[..., None] * cs
-                rhs_u, rhs_v = rhs_u + c_v * scs, rhs_v + c_u * scs
+                out_u, out_v = out_u + wp_v * cs, out_v + wp_u * cs
                 own_u, own_v = own_u + sg_v * cs, own_v + sg_u * cs
                 grads["s"] = c * full
-            grads["u"], grads["v"] = sp.u_r @ rhs_u + u @ own_u, sp.v_r @ rhs_v + v @ own_v
+            grads["u"], grads["v"] = out_u + u @ own_u, out_v + v @ own_v
         if np.ndim(orth) == 0:
             return float(orth), float(sv), grads
         return orth, sv, grads
@@ -236,12 +242,17 @@ class SvdResidualAdapter(_Adapter):
         if not 0 <= r < n:
             raise FormatError(f"{d}: frozen rank {r} out of range [0, {n})")
         k = n - r
+        frob_sq = _manifest_float(d, manifest, "frozen_frob_sq", nonnegative=True)
         frozen = {f: _read(d, f"{f}.emx", shape) if r > 0 else np.zeros(shape)
                   for f, shape in (("u_r", (n, r)), ("s_r", (r,)), ("v_r", (n, r)))}
-        sp = SubspaceSplit(r=r, **frozen, u_nr=_read(d, "u.emx", (n, k)),
-                           s_nr=_read(d, "s.emx", (k,)), v_nr=_read(d, "v.emx", (n, k)),
-                           frozen_frob_sq=float(manifest["frozen_frob_sq"]))
-        return cls.from_split(n, sp, RegularizerWeights(manifest["lambda1"], manifest["lambda2"]))
+        # u.emx and v.emx hold the trained factors, not a basis of the
+        # complement of u_r and v_r, so that basis is rebuilt once
+        u_nr, v_nr = (np.linalg.qr(frozen[f], mode="complete")[0][:, r:] for f in ("u_r", "v_r"))
+        sp = SubspaceSplit(r=r, **frozen, u_nr=u_nr, s_nr=_read(d, "s.emx", (k,)), v_nr=v_nr,
+                           frozen_frob_sq=frob_sq)
+        self = cls.from_split(n, sp, RegularizerWeights(manifest["lambda1"], manifest["lambda2"]))
+        self.u, self.v = _read(d, "u.emx", (n, k)), _read(d, "v.emx", (n, k))
+        return self
 
 
 LORA_INIT_STD = 0.02
@@ -278,7 +289,7 @@ class LoraAdapter(_Adapter):
         self.w0 = _read(d, "w0.emx", (n, n))
         self.a = _read(d, "a.emx", (r, n))
         self.b = _read(d, "b.emx", (n, r))
-        self.scale = float(manifest["scale"])
+        self.scale = _manifest_float(d, manifest, "scale")
         return self
 
     @property
@@ -380,6 +391,16 @@ def load_adapter(directory):
         raise FormatError(f"{d}: adapter manifest has no field {exc}") from None
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{d}: bad adapter manifest field: {exc}") from None
+
+
+def _manifest_float(d, manifest, field, nonnegative=False):
+    """The manifest's number ``field``; FormatError naming the manifest and
+    the field unless it is finite (and, if ``nonnegative``, not below 0)."""
+    x = float(manifest[field])
+    if not np.isfinite(x) or (nonnegative and x < 0):
+        want = "a finite non-negative number" if nonnegative else "a finite number"
+        raise FormatError(f"{d / 'manifest.json'}: field {field!r} is {x!r}, expected {want}")
+    return x
 
 
 def _read(d, name, shape):

@@ -32,12 +32,13 @@ class RankReport:
                         zip(range(1, len(ratios) + 1), ratios, accumulate(ratios)))
 
 
-def effective_rank(features, threshold=0.9, source="") -> RankReport:
+def effective_rank(features, threshold=0.9, source="", decomposition=None) -> RankReport:
     """Minimum number of principal components whose cumulative explained
-    variance reaches ``threshold``; 0 (flagged) for zero-variance data."""
+    variance reaches ``threshold``; 0 (flagged) for zero-variance data.
+    ``decomposition`` is ``pca(features)`` when the caller already holds it."""
     if not 0.0 < threshold <= 1.0:
         raise ValidationError("threshold must lie in (0, 1]")
-    w, _ = pca(features)
+    w, _ = decomposition or pca(features)
     total = float(w.sum())
     if total <= 0.0:
         return RankReport(spectrum=np.zeros(w.shape[0]), effective_rank=0,
@@ -135,10 +136,11 @@ def logit_line_fit(logits) -> LogitLineFit:
                         degenerate=False, collapsed=collapsed)
 
 
-def projection_export(features, k):
-    """Coordinates of the samples on the top-k principal directions."""
+def projection_export(features, k, decomposition=None):
+    """Coordinates of the samples on the top-k principal directions;
+    ``decomposition`` as in ``effective_rank``."""
     x = check_matrix(features, "features")
     if not 1 <= k <= x.shape[1]:
         raise ValidationError(f"k={k} out of range [1, {x.shape[1]}]")
-    _, dirs = pca(x)
+    _, dirs = decomposition or pca(x)
     return (x - x.mean(axis=0)) @ dirs[:, :k]

@@ -34,7 +34,7 @@ from .experiment import (
     rank_sweep,
     sweep_csv,
 )
-from .linalg import frobenius_sq, split, svd
+from .linalg import frobenius_sq, pca, split, svd
 from .model import BackboneConfig, load_model, save_model
 from .seeding import derive_seed
 
@@ -225,8 +225,10 @@ def cmd_svd_split(args):
 
 def cmd_analyze(args):
     feats = read_emx(args.features)
-    rep = effective_rank(feats, args.threshold, source=Path(args.features).name)
-    projection = None if rep.zero_variance else projection_export(feats, min(2, feats.shape[1]))
+    dec = pca(feats)
+    rep = effective_rank(feats, args.threshold, Path(args.features).name, dec)
+    projection = (None if rep.zero_variance
+                  else projection_export(feats, min(2, feats.shape[1]), dec))
     out = _prepare_out(args.out, args.force)
     (out / "rank_report.csv").write_text(rep.to_csv())
     if projection is not None:

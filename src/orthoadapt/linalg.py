@@ -39,7 +39,9 @@ class SvdFactors:
 @dataclass
 class SubspaceSplit:
     """Partition of SVD factors into a principal part (top r singular
-    triplets) and the residual part (the remaining k - r)."""
+    triplets) and the residual part (the remaining k - r). For a square
+    matrix, u_nr and v_nr are an orthonormal basis of the complement of u_r
+    and v_r, which ``SvdResidualAdapter.reg_terms`` relies on."""
 
     r: int
     u_r: np.ndarray

@@ -17,7 +17,7 @@ from orthoadapt.adapters import (
     load_adapter,
     stack_adapters,
 )
-from orthoadapt.errors import ValidationError
+from orthoadapt.errors import FormatError, ValidationError
 from orthoadapt.linalg import SubspaceSplit, frobenius_sq
 from orthoadapt.model import BackboneConfig, init_model, model_forward
 
@@ -201,7 +201,8 @@ class TestOrthLoss:
     @pytest.mark.parametrize("n,k,frozen_noise", [
         (6, 2, 0.0), (16, 4, 0.0), (64, 4, 0.0), (256, 1, 0.0),
         # slightly non-orthonormal u_r/v_r: the frozen block
-        # ||U_r^T U_r - I||^2 of the loss is then far above the tolerance
+        # ||U_r^T U_r - I||^2 of the loss is then far above the tolerance, and
+        # the cross term is the energy of U outside the residual subspace
         (16, 4, 1e-3),
     ])
     def test_matches_stacked_oracle(self, n, k, frozen_noise):
@@ -210,7 +211,10 @@ class TestOrthLoss:
         ad.u += 0.05 * rng.standard_normal(ad.u.shape)
         ad.v += 0.05 * rng.standard_normal(ad.v.shape)
         orth, _, grads = ad.reg_terms(0.7, 0.0)
-        expect, expect_grads = stacked_orth(ad)
+        if frozen_noise:
+            expect, _, expect_grads = dense_reg_terms(ad, 1.0, 0.0, outside=True)
+        else:
+            expect, expect_grads = stacked_orth(ad)
         assert abs(orth - expect) <= 1e-12 * max(expect, 1.0)
         for key in ("u", "v"):
             np.testing.assert_allclose(grads[key], 0.7 * expect_grads[key],
@@ -290,10 +294,12 @@ class TestSvLoss:
             np.testing.assert_allclose(grads[key], expect, atol=1e-12)
 
 
-def dense_reg_terms(a, lambda1, lambda2):
+def dense_reg_terms(a, lambda1, lambda2, outside=False):
     """reg_terms of one adapter as it was before the energy term came from
-    the factors: the energy and its gradients from the n x n W_eff, mapped
-    through ``weight_grad``."""
+    the factors: the cross term of orth from U_r^T U (with ``outside``, from
+    the dense projector I - U0 U0^T, as reg_terms defines it for frozen
+    factors that are not orthonormal), the energy and its gradients from the
+    n x n W_eff, mapped through ``weight_grad``."""
     grads = {}
     orth = sv = 0.0
     if lambda1 > 0:
@@ -301,11 +307,12 @@ def dense_reg_terms(a, lambda1, lambda2):
         eye = np.eye(sp.r)
         orth = (np.sum((sp.u_r.T @ sp.u_r - eye) ** 2)
                 + np.sum((sp.v_r.T @ sp.v_r - eye) ** 2))
-        for key, frozen, f in (("u", sp.u_r, a.u), ("v", sp.v_r, a.v)):
-            cross = frozen.T @ f
+        for key, frozen, basis, f in (("u", sp.u_r, sp.u_nr, a.u), ("v", sp.v_r, sp.v_nr, a.v)):
+            back = np.eye(a.n) - basis @ basis.T if outside else frozen
+            cross = back.T @ f
             gram = f.T @ f - np.eye(f.shape[1])
             orth = orth + (2.0 * np.sum(cross * cross) + np.sum(gram * gram))
-            grads[key] = 4.0 * lambda1 * (frozen @ cross + f @ gram)
+            grads[key] = 4.0 * lambda1 * (back @ cross + f @ gram)
     if lambda2 > 0:
         w_eff = a.effective_weight()
         drift = np.sum(w_eff * w_eff) - a.frozen_frob_sq
@@ -316,10 +323,10 @@ def dense_reg_terms(a, lambda1, lambda2):
 
 
 class TestFactorEnergy:
-    """The energy term from the factors against the dense form it replaced:
-    orth keeps its bits, sv and the gradients agree to rounding. W_p V and
-    W_p^T U come from W_p = U_r S_r V_r^T, which holds for any frozen
-    factors, orthonormal or not."""
+    """reg_terms against the dense forms it replaced: orth, sv and the
+    gradients agree to rounding. The energy term holds for any frozen
+    factors, orthonormal or not; for frozen factors that are not, the cross
+    term of orth is the energy of U outside the residual subspace."""
 
     @staticmethod
     def check(n, k, m, lam1, lam2=0.9, frozen_noise=0.0):
@@ -330,14 +337,14 @@ class TestFactorEnergy:
             for p in ad.trainable().values():
                 p += 0.05 * rng.standard_normal(p.shape)
             singles.append(ad)
-        expect = [dense_reg_terms(a, lam1, lam2) for a in singles]
+        expect = [dense_reg_terms(a, lam1, lam2, outside=frozen_noise > 0) for a in singles]
         got = [a.reg_terms(lam1, lam2) for a in singles]
         if m > 1:  # each row of one stacked call, against the same dense terms
             orth, sv, grads = stack_adapters(copy.deepcopy(singles)).reg_terms(lam1, lam2)
             got += [(orth[i], sv[i], {key: g[i] for key, g in grads.items()}) for i in range(m)]
             expect += expect
         for a, (orth, sv, grads), (d_orth, d_sv, d_grads) in zip(singles * 2, got, expect):
-            assert orth == d_orth
+            assert abs(orth - d_orth) <= 1e-12 * d_orth
             assert abs(sv - d_sv) <= 1e-12 * a.frozen_frob_sq
             assert set(grads) == set(d_grads)
             for key, g in d_grads.items():
@@ -359,22 +366,27 @@ class TestFactorEnergy:
         self.check(n, k, m, lam1, lam2, frozen_noise)
 
     @pytest.mark.parametrize("m", [1, 3])
-    def test_principal_weight_read_once(self, m):
-        # after the first call has cached ||W_p||^2, W_p is never read again
+    def test_frozen_factors_read_once(self, m):
+        # after a first call, U_r and V_r are never read again, and a
+        # lambda1-only call reads no W_p
         rng = np.random.default_rng(77 + m)
         members = [SvdResidualAdapter.from_split(32, perturbed_split(32, 4, rng)) for _ in range(m)]
         for a in members:
             for p in a.trainable().values():
                 p += 0.05 * rng.standard_normal(p.shape)
         ad = members[0] if m == 1 else stack_adapters(members)
-        orth, sv, grads = ad.reg_terms(0.7, 0.9)
+        both, orth_only = ad.reg_terms(0.7, 0.9), ad.reg_terms(0.7, 0.0)
+        ad.split.u_r[...] = np.nan
+        ad.split.v_r[...] = np.nan
+        got = [ad.reg_terms(0.7, 0.9)]
         ad._w_principal[...] = np.nan
-        orth2, sv2, grads2 = ad.reg_terms(0.7, 0.9)
-        assert np.asarray(orth2).tobytes() == np.asarray(orth).tobytes()
-        assert np.asarray(sv2).tobytes() == np.asarray(sv).tobytes()
-        assert set(grads2) == set(grads)
-        for key, g in grads.items():
-            assert grads2[key].tobytes() == g.tobytes(), key
+        got.append(ad.reg_terms(0.7, 0.0))
+        for (orth, sv, grads), (orth2, sv2, grads2) in zip((both, orth_only), got):
+            assert np.asarray(orth2).tobytes() == np.asarray(orth).tobytes()
+            assert np.asarray(sv2).tobytes() == np.asarray(sv).tobytes()
+            assert set(grads2) == set(grads)
+            for key, g in grads.items():
+                assert grads2[key].tobytes() == g.tobytes(), key
 
 
 class TestBackward:
@@ -476,6 +488,40 @@ class TestSerialization:
         ad.save(tmp_path / "f")
         back = load_adapter(tmp_path / "f")
         np.testing.assert_array_equal(back.effective_weight(), ad.effective_weight())
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_loaded_regularizer_matches_saved(self, tmp_path, m):
+        # the saved u and v are trained factors, not a basis of the complement
+        # of u_r and v_r: the loaded adapter's regularizer must not take them
+        # for one
+        saved = random_adapters("svd", m, 16, 4, 23 + m)
+        loaded = []
+        for i, a in enumerate(saved):
+            a.save(tmp_path / str(i))
+            loaded.append(load_adapter(tmp_path / str(i)))
+        if m > 1:
+            saved, loaded = [stack_adapters(saved)], [stack_adapters(loaded)]
+        for a, back in zip(saved, loaded):
+            (orth, sv, grads), (orth2, sv2, grads2) = a.reg_terms(0.7, 0.9), back.reg_terms(0.7, 0.9)
+            np.testing.assert_allclose(orth2, orth, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(sv2, sv, rtol=1e-12, atol=0)
+            assert set(grads2) == set(grads)
+            for key, g in grads.items():
+                assert np.abs(grads2[key] - g).max() <= 1e-12 * np.abs(g).max(), key
+
+    @pytest.mark.parametrize("kind,field,value", [
+        ("svd", "frozen_frob_sq", float("nan")), ("svd", "frozen_frob_sq", float("inf")),
+        ("svd", "frozen_frob_sq", -1.0), ("lora", "scale", float("inf")),
+        ("lora", "scale", float("nan")),
+    ])
+    def test_rejects_non_finite_manifest_scalar(self, tmp_path, kind, field, value):
+        ad = random_adapters(kind, 1, 6, 2, 24)[0]
+        ad.save(tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest[field] = value
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match=f"manifest.json: field '{field}'"):
+            load_adapter(tmp_path)
 
 
 def random_adapters(kind, m, n, k, seed):

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import orthoadapt
+from orthoadapt import linalg
 from orthoadapt.cli import main
 from orthoadapt.emx import read_emx, write_emx
 
@@ -410,6 +411,7 @@ def test_rejects_backbone_spec_dim_mismatch(tmp_path, capsys, command):
 # that OPENBLAS_NUM_THREADS is read before NumPy loads.
 _PIPELINE = """
 import sys
+from orthoadapt import linalg
 from orthoadapt.cli import main
 cfg, out = sys.argv[1], sys.argv[2]
 for argv in (["pretrain", "--config", cfg, "--out", out + "/pre"],
@@ -514,6 +516,22 @@ class TestSvdSplitAnalyze:
         assert main(["analyze", str(src), "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["effective_rank"] == 5
+
+    def test_analyze_decomposes_once(self, tmp_path, monkeypatch):
+        # the rank report and the projection share one eigensolve
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return sym_eig(*args, **kwargs)
+
+        sym_eig = linalg.sym_eig
+        monkeypatch.setattr(linalg, "sym_eig", counted)
+        src = tmp_path / "f.emx"
+        write_emx(src, np.random.default_rng(3).standard_normal((50, 4)))
+        assert main(["analyze", str(src), "--out", str(tmp_path / "an")]) == 0
+        assert len(calls) == 1
+        assert read_emx(tmp_path / "an" / "projection.emx").shape == (50, 2)
 
 
 class TestReport:
