@@ -54,6 +54,14 @@ def _sum_sq(a):
     return np.add.reduce(a * a, axis=(-2, -1))
 
 
+def _square_weight(w):
+    """``w`` as a finite float64 matrix; ValidationError unless it is square."""
+    a = check_matrix(w, "weight")
+    if a.shape[0] != a.shape[1]:
+        raise ValidationError(f"weight must be square, got {a.shape}")
+    return a
+
+
 def _stack(arrays, what):
     try:
         return np.stack(arrays)
@@ -117,10 +125,8 @@ class SvdResidualAdapter(_Adapter):
     _SPLIT = ("u_r", "s_r", "v_r", "u_nr", "s_nr", "v_nr")
 
     def __init__(self, w, residual_rank, reg=None):
-        a = check_matrix(w, "weight")
-        n, n2 = a.shape
-        if n != n2:
-            raise ValidationError(f"weight must be square, got {a.shape}")
+        a = _square_weight(w)
+        n = a.shape[0]
         if not 1 <= residual_rank <= n:
             raise ValidationError(f"residual rank {residual_rank} out of range [1, {n}]")
         sp = split(svd(a, "weight"), n - residual_rank)
@@ -242,7 +248,7 @@ class SvdResidualAdapter(_Adapter):
         if not 0 <= r < n:
             raise FormatError(f"{d}: frozen rank {r} out of range [0, {n})")
         k = n - r
-        frob_sq = _manifest_float(d, manifest, "frozen_frob_sq", nonnegative=True)
+        frob_sq = _manifest_float(d, manifest, "frozen_frob_sq")
         frozen = {f: _read(d, f"{f}.emx", shape) if r > 0 else np.zeros(shape)
                   for f, shape in (("u_r", (n, r)), ("s_r", (r,)), ("v_r", (n, r)))}
         # u.emx and v.emx hold the trained factors, not a basis of the
@@ -256,45 +262,39 @@ class SvdResidualAdapter(_Adapter):
 
 
 LORA_INIT_STD = 0.02
-DEFAULT_LORA_SCALE = 2.0
 
 
 class LoraAdapter(_Adapter):
-    """Frozen base weight plus scale * b @ a; a ~ N(0, LORA_INIT_STD^2), b = 0 at init."""
+    """Frozen base weight plus scale * b @ a; a ~ N(0, LORA_INIT_STD^2), b = 0 at init.
+    Every lora adapter has the one ``scale``, which its manifest records."""
 
     kind = "lora"
     _TENSORS = ("w0", "a", "b")
+    scale = 2.0
 
-    def __init__(self, w, rank, rng, scale=DEFAULT_LORA_SCALE):
-        a = check_matrix(w, "weight")
-        n, n2 = a.shape
-        if n != n2:
-            raise ValidationError(f"weight must be square, got {a.shape}")
+    def __init__(self, w, rank, rng):
+        a = _square_weight(w)
+        n = a.shape[0]
         if not 1 <= rank <= n:
             raise ValidationError(f"lora rank {rank} out of range [1, {n}]")
         self.n = n
         self.w0 = a.copy()
         self.a = LORA_INIT_STD * rng.standard_normal((rank, n))
         self.b = np.zeros((n, rank))
-        self.scale = float(scale)
-
-    def _stack_rest(self, adapters):
-        self.scale = np.array([a.scale for a in adapters])[:, None, None]
 
     @classmethod
     def _load(cls, d, n, manifest):
         r = int(manifest["r"])
+        scale = float(manifest["scale"])
+        if scale != cls.scale:
+            raise FormatError(f"{d / 'manifest.json'}: field 'scale' is {scale!r}, "
+                              f"expected {cls.scale!r}")
         self = cls.__new__(cls)
         self.n = n
         self.w0 = _read(d, "w0.emx", (n, n))
         self.a = _read(d, "a.emx", (r, n))
         self.b = _read(d, "b.emx", (n, r))
-        self.scale = _manifest_float(d, manifest, "scale")
         return self
-
-    @property
-    def rank(self):
-        return self.a.shape[-2]
 
     def effective_weight(self):
         return self.w0 + self.scale * (self.b @ self.a)
@@ -306,7 +306,7 @@ class LoraAdapter(_Adapter):
         return {"a": self.scale * (_t(self.b) @ m), "b": self.scale * (m @ _t(self.a))}
 
     def _saved(self):
-        return super()._saved()[0], {"r": self.rank, "scale": self.scale}
+        return super()._saved()[0], {"r": self.a.shape[0], "scale": self.scale}
 
 
 class FullAdapter(_Adapter):
@@ -316,9 +316,7 @@ class FullAdapter(_Adapter):
     _TENSORS = ("w",)
 
     def __init__(self, w):
-        a = check_matrix(w, "weight")
-        if a.shape[0] != a.shape[1]:
-            raise ValidationError(f"weight must be square, got {a.shape}")
+        a = _square_weight(w)
         self.n = a.shape[0]
         self.w = a.copy()
 
@@ -339,9 +337,7 @@ class FrozenAdapter(_Adapter):
     _TENSORS = ("w",)
 
     def __init__(self, w):
-        a = check_matrix(w, "weight")
-        if a.shape[0] != a.shape[1]:
-            raise ValidationError(f"weight must be square, got {a.shape}")
+        a = _square_weight(w)
         self.n = a.shape[0]
         self.w = a.copy()
 
@@ -393,13 +389,13 @@ def load_adapter(directory):
         raise FormatError(f"{d}: bad adapter manifest field: {exc}") from None
 
 
-def _manifest_float(d, manifest, field, nonnegative=False):
+def _manifest_float(d, manifest, field):
     """The manifest's number ``field``; FormatError naming the manifest and
-    the field unless it is finite (and, if ``nonnegative``, not below 0)."""
+    the field unless it is finite and not below 0."""
     x = float(manifest[field])
-    if not np.isfinite(x) or (nonnegative and x < 0):
-        want = "a finite non-negative number" if nonnegative else "a finite number"
-        raise FormatError(f"{d / 'manifest.json'}: field {field!r} is {x!r}, expected {want}")
+    if not np.isfinite(x) or x < 0:
+        raise FormatError(f"{d / 'manifest.json'}: field {field!r} is {x!r}, "
+                          "expected a finite non-negative number")
     return x
 
 

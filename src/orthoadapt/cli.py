@@ -35,7 +35,7 @@ from .experiment import (
     sweep_csv,
 )
 from .linalg import frobenius_sq, pca, split, svd
-from .model import BackboneConfig, load_model, save_model
+from .model import REGIMES, BackboneConfig, load_model, save_model
 from .seeding import derive_seed
 
 
@@ -276,7 +276,7 @@ def build_parser():
     p.add_argument("--config", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--regime", choices=["svd", "lora", "fft", "linear_probe"])
+    p.add_argument("--regime", choices=REGIMES)
     p.add_argument("--rank", type=int)
     p.add_argument("--lambda1", type=float)
     p.add_argument("--lambda2", type=float)

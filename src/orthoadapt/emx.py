@@ -45,7 +45,8 @@ def read_emx(path):
     expected = 20 + rows * cols * 8
     if len(raw) != expected:
         raise FormatError(f"{path}: expected {expected} bytes, got {len(raw)}")
-    data = np.frombuffer(raw[20:], dtype="<f8").reshape(rows, cols)
+    # a copy: an array over the bytes object would be read-only
+    data = np.frombuffer(raw, "<f8", offset=20).reshape(rows, cols).copy()
     try:
         return check_matrix(data, str(path))
     except ValidationError as exc:

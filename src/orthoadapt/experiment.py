@@ -133,20 +133,20 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 def adam_step(params, grads, state, lr, t=1):
     """One Adam update, in place, with ``ADAM_BETA1``, ``ADAM_BETA2`` and
-    ``ADAM_EPS``. ``state`` maps names to (m, v) moment pairs and is created
-    lazily; missing gradients count as zero."""
+    ``ADAM_EPS``. ``grads`` holds one gradient per name of ``params``; a
+    missing one raises ValidationError naming it, before any update.
+    ``state`` maps names to (m, v) moment pairs and is created lazily."""
     if t < 1:
         raise ValidationError("adam_step needs t >= 1")
+    for name in params:
+        if name not in grads:
+            raise ValidationError(f"adam_step has no gradient for {name!r}")
     for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p)
-        else:
-            g = np.asarray(g, dtype=np.float64)
-            if g.shape != p.shape:
-                raise ValidationError(f"gradient shape mismatch for {name}")
-            if not np.logical_and.reduce(np.isfinite(g), axis=None):
-                raise NumericalError(f"non-finite gradient for {name}")
+        g = np.asarray(grads[name], dtype=np.float64)
+        if g.shape != p.shape:
+            raise ValidationError(f"gradient shape mismatch for {name}")
+        if not np.logical_and.reduce(np.isfinite(g), axis=None):
+            raise NumericalError(f"non-finite gradient for {name}")
         if name not in state:
             state[name] = (np.zeros_like(p), np.zeros_like(p))
         m, v = state[name]
@@ -296,9 +296,9 @@ class _Trainer:
         if not np.isfinite(total):
             return False
 
-        grads = model_backward(model, dlogits)  # a key missing from it counts as zero
+        grads = model_backward(model, dlogits)
         for key, view in self.grads.items():
-            view[...] = grads.get(key, 0.0)
+            view[...] = grads[key]
             if key in reg_grads:
                 view += reg_grads[key]
         try:
@@ -324,10 +324,9 @@ def train(model: ToyModel, dataset: Dataset, cfg: TrainConfig, eval_sets=None, r
     NumericalError in the final metrics (features or their covariance not
     finite) also counts as divergence.
     """
-    expected_kind = _REGIME_TO_KIND[cfg.regime]
-    kinds = {a.kind for _, a in model.adapters()}
-    if kinds != {expected_kind}:
-        raise ValidationError(f"model adapters {kinds} do not match regime {cfg.regime!r}")
+    if model.stack.kind != _REGIME_TO_KIND[cfg.regime]:
+        raise ValidationError(f"model adapters are {model.stack.kind!r}, which does not match "
+                              f"regime {cfg.regime!r}")
 
     report = ExperimentReport(config=asdict(cfg))
     report.trainable_params = model.count_trainable()
@@ -387,7 +386,7 @@ def semantic_accuracy(model, ds):
     return float((logits.argmax(axis=1) == ds.y).mean())
 
 
-def pretrain(backbone: BackboneConfig, spec: SyntheticSpec, cfg: PretrainConfig = None):
+def pretrain(backbone: BackboneConfig, spec: SyntheticSpec, cfg: PretrainConfig):
     """Train a fully-trainable backbone on the K-way semantic task.
 
     Held-out accuracy is checked every ``eval_every`` iterations and at the
@@ -395,7 +394,6 @@ def pretrain(backbone: BackboneConfig, spec: SyntheticSpec, cfg: PretrainConfig 
     Raises PretrainingFailure if the cap is hit below the minimum bar, and
     NumericalError if a loss, an activation or a gradient is not finite.
     """
-    cfg = cfg or PretrainConfig()
     bb = replace(backbone, adapter_kind="full")
     train_ds, eval_ds = semantic_shards(spec, bb.seq_len)
     model = init_model(bb, cfg.seed, head_dim=spec.clusters)

@@ -199,7 +199,7 @@ def _forward(model: ToyModel, xa, train=False):
     n = model.dim
     L = model.seq_len
     weights = model.stack.effective_weight()  # (m, n, n), in adapters() order
-    cache = {"x": xa, "blocks": [], "weights": weights} if train else None
+    cache = {"blocks": [], "weights": weights} if train else None
     if model.cfg.kind == "mlp":
         h = xa
         for b in range(model.cfg.depth):

@@ -461,7 +461,7 @@ class TestSerialization:
             ad = SvdResidualAdapter(w, 2, reg=RegularizerWeights(0.5, 0.25))
             ad.u += 0.01  # drift away from init
         elif kind == "lora":
-            ad = LoraAdapter(w, 3, rng, scale=2.0)
+            ad = LoraAdapter(w, 3, rng)
             ad.b += 0.3
         elif kind == "full":
             ad = FullAdapter(w)
@@ -512,7 +512,7 @@ class TestSerialization:
     @pytest.mark.parametrize("kind,field,value", [
         ("svd", "frozen_frob_sq", float("nan")), ("svd", "frozen_frob_sq", float("inf")),
         ("svd", "frozen_frob_sq", -1.0), ("lora", "scale", float("inf")),
-        ("lora", "scale", float("nan")),
+        ("lora", "scale", float("nan")), ("lora", "scale", 3.0),
     ])
     def test_rejects_non_finite_manifest_scalar(self, tmp_path, kind, field, value):
         ad = random_adapters(kind, 1, 6, 2, 24)[0]
@@ -535,7 +535,7 @@ def random_adapters(kind, m, n, k, seed):
             for p in ad.trainable().values():
                 p += 0.1 * rng.standard_normal(p.shape)
         elif kind == "lora":
-            ad = LoraAdapter(w, k, rng, scale=float(rng.uniform(0.5, 2.0)))
+            ad = LoraAdapter(w, k, rng)
             ad.b += rng.standard_normal(ad.b.shape)
         else:
             ad = FullAdapter(w) if kind == "full" else FrozenAdapter(w)

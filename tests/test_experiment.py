@@ -69,6 +69,15 @@ class TestAdam:
         with pytest.raises(NumericalError):
             adam_step({"w": np.zeros(2)}, {"w": np.array([1.0, np.nan])}, {}, lr=0.1, t=1)
 
+    def test_missing_gradient(self):
+        # no zero fill: a missing gradient is an error, raised before any update
+        p = {"a": np.zeros(2), "b": np.zeros(3)}
+        state = {}
+        with pytest.raises(ValidationError, match="no gradient for 'b'"):
+            adam_step(p, {"a": np.ones(2)}, state, lr=0.1, t=1)
+        np.testing.assert_array_equal(p["a"], np.zeros(2))
+        assert state == {}
+
 
 class TestRocAuc:
     def test_perfect_separation(self):

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthoadapt.adapters import FullAdapter
+from orthoadapt.adapters import FullAdapter, load_adapter
 from orthoadapt.errors import StateError, ValidationError
-from orthoadapt.experiment import _regularizers
+from orthoadapt.experiment import _regularizers, adam_step
 from orthoadapt.model import (
     REGIMES,
     BackboneConfig,
@@ -364,3 +364,16 @@ class TestCheckpoint:
         assert files_a == files_b
         for rel in files_a:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+
+    @pytest.mark.parametrize("kind", ["lora", "svd"])
+    def test_loaded_tensors_take_adam_step(self, tmp_path, kind):
+        # restored tensors are writable arrays, not views of a file's bytes
+        save_model(init_model(mlp_cfg(adapter_kind=kind, rank=2), seed=11), tmp_path)
+        model, _ = load_model(tmp_path)
+        adapter = load_adapter(tmp_path / "adapters" / "block0.w")
+        for params in (model.trainable(), adapter.trainable()):
+            before = {key: p.copy() for key, p in params.items()}
+            adam_step(params, {key: np.ones_like(p) for key, p in params.items()}, {},
+                      lr=1e-2, t=1)
+            for key, p in params.items():
+                assert (p < before[key]).all(), key
