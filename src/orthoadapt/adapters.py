@@ -141,7 +141,7 @@ class SvdResidualAdapter(_Adapter):
         self.reg = reg if reg is not None else RegularizerWeights()
         self.frozen_frob_sq = sp.frozen_frob_sq
         self._w_principal = reconstruct(sp)
-        self._frozen_orth = self._principal_sq = None  # frozen blocks, set by reg_terms
+        self._principal_sq = sum_sq(self._w_principal, (-2, -1), "frozen principal weight")
         self._eye = np.eye(self.u.shape[1])
 
     def _stack_rest(self, adapters):
@@ -150,7 +150,7 @@ class SvdResidualAdapter(_Adapter):
             a.split = replace(a.split, **{f: arr[i] for f, arr in stacks.items()})
         self.frozen_frob_sq = np.array([a.frozen_frob_sq for a in adapters])
         self.split = replace(adapters[0].split, frozen_frob_sq=self.frozen_frob_sq, **stacks)
-        self._frozen_orth = self._principal_sq = None
+        self._principal_sq = np.array([a._principal_sq for a in adapters])
         self._eye = adapters[0]._eye
 
     @classmethod
@@ -181,8 +181,9 @@ class SvdResidualAdapter(_Adapter):
         factors alone: neither term forms an n x n array. For a stack, orth and
         sv hold one entry per matrix; for one adapter they are floats.
 
-        orth is ||[U_r, U]^T [U_r, U] - I||^2 + the same for V, taken blockwise
-        as ||U_r^T U_r - I||^2 + 2 ||U_r^T U||^2 + ||U^T U - I||^2. The split's
+        orth is ||[U_r, U]^T [U_r, U] - I||^2 + the same for V, less the frozen
+        block ||U_r^T U_r - I||^2 + ||V_r^T V_r - I||^2, a constant with no
+        gradient: 2 ||U_r^T U||^2 + ||U^T U - I||^2 + the same for V. The split's
         u_nr = U0 is an orthonormal basis of the complement of U_r, so U_r U_r^T
         = I - U0 U0^T and ||U_r^T U||^2 = ||P U||^2 with P U = U - U0 (U0^T U),
         which costs O(n k^2); its gradient is 4 P U. For frozen factors that are
@@ -192,9 +193,8 @@ class SvdResidualAdapter(_Adapter):
         V); diag(U^T W_p V) is the column sums of U o W_p V, and the gradient of
         U is W_p V cs + U K with the k x k K summing both terms' parts (likewise
         V with W_p^T U). So a call reads W_p twice (a lambda1-only call not at
-        all) and U_r and V_r never: ||W_p||^2 and the frozen ||U_r^T U_r -
-        I||^2 + ||V_r^T V_r - I||^2 are computed on the first call that needs
-        them (NumericalError on overflow).
+        all) and U_r and V_r never; ||W_p||^2 is taken when the adapter is
+        built (NumericalError there on overflow), and a call keeps no state.
         """
         grads = {}
         orth = sv = np.zeros(self.s.shape[:-1])
@@ -203,21 +203,15 @@ class SvdResidualAdapter(_Adapter):
             gram_u, gram_v = _t(u) @ u, _t(v) @ v
             out_u = out_v = own_u = own_v = 0.0  # n x k terms; k x k right-hand sides through U, V
             if lambda1 > 0:
-                if self._frozen_orth is None:
-                    eye = np.eye(sp.r)
-                    self._frozen_orth = (_sum_sq(_t(sp.u_r) @ sp.u_r - eye)
-                                         + _sum_sq(_t(sp.v_r) @ sp.v_r - eye))
                 p_u = u - sp.u_nr @ (_t(sp.u_nr) @ u)
                 p_v = v - sp.v_nr @ (_t(sp.v_nr) @ v)
                 dev_u, dev_v = gram_u - self._eye, gram_v - self._eye
-                orth = (self._frozen_orth + (2.0 * _sum_sq(p_u) + _sum_sq(dev_u))
+                orth = ((2.0 * _sum_sq(p_u) + _sum_sq(dev_u))
                         + (2.0 * _sum_sq(p_v) + _sum_sq(dev_v)))
                 out_u, out_v = 4.0 * lambda1 * p_u, 4.0 * lambda1 * p_v
                 own_u, own_v = 4.0 * lambda1 * dev_u, 4.0 * lambda1 * dev_v
             if lambda2 > 0:
                 w_p = self._w_principal
-                if self._principal_sq is None:
-                    self._principal_sq = sum_sq(w_p, (-2, -1), "frozen principal weight")
                 wp_v, wp_u = w_p @ v, _t(w_p) @ u
                 sg_u, sg_v = s[..., :, None] * gram_u, s[..., :, None] * gram_v
                 cross = np.add.reduce(u * wp_v, axis=-2)  # diag(U^T W_p V)

@@ -11,7 +11,6 @@ failure (missing checkpoint, pretraining failure, divergence).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -61,15 +60,7 @@ def _check_section(name, payload, allowed):
 
 def load_config(path):
     """Parse and validate the JSON config; unknown keys are errors."""
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file {p} not found")
-    try:
-        raw = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be an object")
+    raw = read_json(path, "config file")
     for section, payload in raw.items():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section {section!r}")
@@ -110,7 +101,10 @@ def _spec_echo(spec):
 
 def _prepare_out(path, force, marker="summary.json"):
     out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from None
     target = out / marker
     if target.exists() and not force:
         raise ConfigError(f"{target} exists; pass --force to overwrite")

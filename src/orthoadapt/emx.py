@@ -77,7 +77,7 @@ def read_json(path, what):
     missing, unreadable or not an object."""
     path = Path(path)
     if not path.exists():
-        raise FormatError(f"{path.parent}: missing {what}")
+        raise FormatError(f"{path}: missing {what}")
     try:
         obj = json.loads(path.read_text())
     except (OSError, ValueError) as exc:

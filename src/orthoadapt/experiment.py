@@ -206,8 +206,9 @@ def binary_metrics(model, ds):
 
 def _sample_batch(rng, ds: Dataset, batch):
     idx = rng.integers(0, ds.groups, size=batch)
-    rows = idx if ds.seq_len == 1 else ds.group_rows(idx)
-    return ds.x[rows], ds.y[idx]
+    dim = ds.x.shape[1]
+    x = ds.x.reshape(ds.groups, ds.seq_len, dim).take(idx, axis=0).reshape(-1, dim)
+    return x, ds.y.take(idx)
 
 
 def _check_dataset(model: ToyModel, ds: Dataset, label):

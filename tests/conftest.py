@@ -4,8 +4,14 @@ The acceptance experiments (five seeded worlds x four fine-tuning regimes at
 the default desk-scale recipe) are expensive, so they are built once per
 session and shared by the analysis and acceptance tests. Everything is
 deterministic: a world seed s drives the synthetic data and pretraining, and
-the fine-tuning stream uses seed 100 + s.
+the fine-tuning stream uses seed 100 + s. Each world depends on its seed
+alone, so the worlds are built in parallel worker processes, one per CPU
+up to five.
 """
+
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -54,4 +60,6 @@ def run_world(seed):
 
 @pytest.fixture(scope="session")
 def experiment_bundle():
-    return {seed: run_world(seed) for seed in ACCEPTANCE_SEEDS}
+    workers = min(len(ACCEPTANCE_SEEDS), len(os.sched_getaffinity(0)))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return dict(zip(ACCEPTANCE_SEEDS, pool.map(run_world, ACCEPTANCE_SEEDS)))

@@ -2,6 +2,7 @@
 
 import copy
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from orthoadapt.adapters import (
     load_adapter,
     stack_adapters,
 )
-from orthoadapt.errors import FormatError, ValidationError
+from orthoadapt.errors import FormatError, NumericalError, ValidationError
 from orthoadapt.linalg import SubspaceSplit, frobenius_sq
 from orthoadapt.model import BackboneConfig, init_model, model_forward
 
@@ -106,6 +107,13 @@ class TestInit:
             SvdResidualAdapter(np.eye(4), 5)
         with pytest.raises(ValidationError):
             RegularizerWeights(-1.0, 0.0)
+
+    def test_principal_overflow_raises_at_construction(self):
+        # ||W_p||^2 is taken when the adapter is built, not on a later
+        # reg_terms call
+        sp = replace(make_identity_split(4, 1), s_r=np.array([1e200, 1.0, 1.0]))
+        with pytest.raises(NumericalError, match="frozen principal weight overflows"):
+            SvdResidualAdapter.from_split(4, sp)
 
     def test_principal_frozen_after_updates(self):
         w = np.random.default_rng(2).standard_normal((8, 8))
@@ -201,8 +209,9 @@ class TestOrthLoss:
     @pytest.mark.parametrize("n,k,frozen_noise", [
         (6, 2, 0.0), (16, 4, 0.0), (64, 4, 0.0), (256, 1, 0.0),
         # slightly non-orthonormal u_r/v_r: the frozen block
-        # ||U_r^T U_r - I||^2 of the loss is then far above the tolerance, and
-        # the cross term is the energy of U outside the residual subspace
+        # ||U_r^T U_r - I||^2, which orth leaves out, is then far above the
+        # tolerance, and the cross term is the energy of U outside the
+        # residual subspace
         (16, 4, 1e-3),
     ])
     def test_matches_stacked_oracle(self, n, k, frozen_noise):
@@ -298,15 +307,13 @@ def dense_reg_terms(a, lambda1, lambda2, outside=False):
     """reg_terms of one adapter as it was before the energy term came from
     the factors: the cross term of orth from U_r^T U (with ``outside``, from
     the dense projector I - U0 U0^T, as reg_terms defines it for frozen
-    factors that are not orthonormal), the energy and its gradients from the
-    n x n W_eff, mapped through ``weight_grad``."""
+    factors that are not orthonormal), without the constant frozen block
+    ||U_r^T U_r - I||^2 + ||V_r^T V_r - I||^2; the energy and its gradients
+    from the n x n W_eff, mapped through ``weight_grad``."""
     grads = {}
     orth = sv = 0.0
     if lambda1 > 0:
         sp = a.split
-        eye = np.eye(sp.r)
-        orth = (np.sum((sp.u_r.T @ sp.u_r - eye) ** 2)
-                + np.sum((sp.v_r.T @ sp.v_r - eye) ** 2))
         for key, frozen, basis, f in (("u", sp.u_r, sp.u_nr, a.u), ("v", sp.v_r, sp.v_nr, a.v)):
             back = np.eye(a.n) - basis @ basis.T if outside else frozen
             cross = back.T @ f
@@ -367,7 +374,7 @@ class TestFactorEnergy:
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_frozen_factors_read_once(self, m):
-        # after a first call, U_r and V_r are never read again, and a
+        # U_r and V_r are never read, not even by a first call, and a
         # lambda1-only call reads no W_p
         rng = np.random.default_rng(77 + m)
         members = [SvdResidualAdapter.from_split(32, perturbed_split(32, 4, rng)) for _ in range(m)]
@@ -375,7 +382,8 @@ class TestFactorEnergy:
             for p in a.trainable().values():
                 p += 0.05 * rng.standard_normal(p.shape)
         ad = members[0] if m == 1 else stack_adapters(members)
-        both, orth_only = ad.reg_terms(0.7, 0.9), ad.reg_terms(0.7, 0.0)
+        clean = copy.deepcopy(ad)
+        both, orth_only = clean.reg_terms(0.7, 0.9), clean.reg_terms(0.7, 0.0)
         ad.split.u_r[...] = np.nan
         ad.split.v_r[...] = np.nan
         got = [ad.reg_terms(0.7, 0.9)]

@@ -407,6 +407,25 @@ def test_rejects_backbone_spec_dim_mismatch(tmp_path, capsys, command):
     assert "backbone.dim 12 does not match spec.dim 16" in err and "Traceback" not in err
 
 
+# each once ended in a traceback: a directory or a file that is not UTF-8 as
+# --config, and an existing file as --out
+@pytest.mark.parametrize("case", ["config_is_dir", "config_not_utf8", "out_is_file"])
+def test_unusable_config_or_out_path(tmp_path, capsys, config_path, case):
+    config, out = config_path, tmp_path / "out"
+    if case == "config_is_dir":
+        config = tmp_path / "config_dir"
+        config.mkdir()
+    elif case == "config_not_utf8":
+        config = tmp_path / "latin1.json"
+        config.write_bytes('{"backbone": {"kind": "mlp\u00e9"}}'.encode("latin-1"))
+    else:
+        out.write_text("")
+    rc = main(["pretrain", "--config", str(config), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 # Runs pretrain, finetune --regime svd and sweep in a fresh interpreter, so
 # that OPENBLAS_NUM_THREADS is read before NumPy loads.
 _PIPELINE = """

@@ -6,7 +6,8 @@ each adapter's effective weight and weight gradient, a forward and a
 backward pass that call them one matrix at a time, cls_loss and
 cls_loss_grad as two softmaxes, the regularizers as one reg_terms per
 adapter, and one adam_step over a dict with one entry per tensor. That
-reg_terms takes the package's factor form: ||U_r^T U||^2 as ||P U||^2 with
+reg_terms takes the package's factor form: orth without the constant frozen
+block ||U_r^T U_r - I||^2 + ||V_r^T V_r - I||^2, ||U_r^T U||^2 as ||P U||^2 with
 P U = U - U0 (U0^T U) for the residual basis U0 = u_nr, ||W_eff||^2 from the
 k x k Grams and W_p V, W_p^T U, and the gradient of U (or V) as the n x k
 terms 4 lambda1 P U and W_p V cs plus one k x k right-hand side through U
@@ -72,7 +73,6 @@ def ref_reg_terms(a, lambda1, lambda2):
     gram_u, gram_v = u.T @ u, v.T @ v
     out_u = out_v = own_u = own_v = 0.0
     if lambda1 > 0:
-        orth = sum(np.sum(g * g) for g in (f.T @ f - np.eye(sp.r) for f in (sp.u_r, sp.v_r)))
         # U_r U_r^T = I - U0 U0^T for the residual basis U0
         p_u, p_v = u - sp.u_nr @ (sp.u_nr.T @ u), v - sp.v_nr @ (sp.v_nr.T @ v)
         dev_u, dev_v = gram_u - np.eye(u.shape[1]), gram_v - np.eye(v.shape[1])
