@@ -16,12 +16,13 @@ weight into per-tensor gradients, and ``count_trainable()``.
 An adapter holds the tensors of one n x n matrix. ``stack_adapters`` builds an
 adapter of the same kind whose tensors hold m matrices along a leading axis,
 and makes each member's tensors views into those stacks. The methods above
-are written for both cases, so one call of each serves all m matrices.
+are written for both cases, so one call of each serves all m matrices. Only
+the ``_TENSORS`` are stacked; an svd member keeps its own ``split``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -75,9 +76,6 @@ class _Adapter:
 
     _TENSORS = ()
 
-    def _stack_rest(self, adapters):
-        """Stack what is not in ``_TENSORS``."""
-
     def bind(self, arrays):
         """Set the stacked tensors named in ``arrays`` and make each member's
         tensor of that name its view into them."""
@@ -121,8 +119,7 @@ class SvdResidualAdapter(_Adapter):
     """
 
     kind = "svd"
-    _TENSORS = ("u", "s", "v", "_w_principal")
-    _SPLIT = ("u_r", "s_r", "v_r", "u_nr", "s_nr", "v_nr")
+    _TENSORS = ("u", "s", "v", "_w_principal", "_u0", "_v0", "_principal_sq", "frozen_frob_sq")
 
     def __init__(self, w, residual_rank, reg=None):
         a = _square_weight(w)
@@ -142,16 +139,7 @@ class SvdResidualAdapter(_Adapter):
         self.frozen_frob_sq = sp.frozen_frob_sq
         self._w_principal = reconstruct(sp)
         self._principal_sq = sum_sq(self._w_principal, (-2, -1), "frozen principal weight")
-        self._eye = np.eye(self.u.shape[1])
-
-    def _stack_rest(self, adapters):
-        stacks = {f: _stack([getattr(a.split, f) for a in adapters], f) for f in self._SPLIT}
-        for i, a in enumerate(adapters):
-            a.split = replace(a.split, **{f: arr[i] for f, arr in stacks.items()})
-        self.frozen_frob_sq = np.array([a.frozen_frob_sq for a in adapters])
-        self.split = replace(adapters[0].split, frozen_frob_sq=self.frozen_frob_sq, **stacks)
-        self._principal_sq = np.array([a._principal_sq for a in adapters])
-        self._eye = adapters[0]._eye
+        self._u0, self._v0 = sp.u_nr, sp.v_nr
 
     @classmethod
     def from_split(cls, n, sp, reg=None):
@@ -183,29 +171,30 @@ class SvdResidualAdapter(_Adapter):
 
         orth is ||[U_r, U]^T [U_r, U] - I||^2 + the same for V, less the frozen
         block ||U_r^T U_r - I||^2 + ||V_r^T V_r - I||^2, a constant with no
-        gradient: 2 ||U_r^T U||^2 + ||U^T U - I||^2 + the same for V. The split's
-        u_nr = U0 is an orthonormal basis of the complement of U_r, so U_r U_r^T
-        = I - U0 U0^T and ||U_r^T U||^2 = ||P U||^2 with P U = U - U0 (U0^T U),
-        which costs O(n k^2); its gradient is 4 P U. For frozen factors that are
-        not orthonormal this term is defined as 2 ||P U||^2, the energy of U
-        outside the residual subspace. sv is | ||W_eff||^2 - ||W_init||^2 | for
-        W_eff = W_p + U S V^T, from ||W_p||^2 + tr(S U^T W_p V) + tr(S U^T W_eff
-        V); diag(U^T W_p V) is the column sums of U o W_p V, and the gradient of
-        U is W_p V cs + U K with the k x k K summing both terms' parts (likewise
-        V with W_p^T U). So a call reads W_p twice (a lambda1-only call not at
-        all) and U_r and V_r never; ||W_p||^2 is taken when the adapter is
-        built (NumericalError there on overflow), and a call keeps no state.
+        gradient: 2 ||U_r^T U||^2 + ||U^T U - I||^2 + the same for V. U0 =
+        ``_u0`` (the split's u_nr) is an orthonormal basis of the complement of
+        U_r, so U_r U_r^T = I - U0 U0^T and ||U_r^T U||^2 = ||P U||^2 with P U =
+        U - U0 (U0^T U), which costs O(n k^2); its gradient is 4 P U. For frozen
+        factors that are not orthonormal this term is defined as 2 ||P U||^2,
+        the energy of U outside the residual subspace. sv is | ||W_eff||^2 -
+        ||W_init||^2 | for W_eff = W_p + U S V^T, from ||W_p||^2 + tr(S U^T W_p
+        V) + tr(S U^T W_eff V); diag(U^T W_p V) is the column sums of U o W_p V,
+        and the gradient of U is W_p V cs + U K with the k x k K summing both
+        terms' parts (likewise V with W_p^T U). So a call reads W_p twice (a
+        lambda1-only call not at all) and U_r and V_r never; ||W_p||^2 is taken
+        when the adapter is built (NumericalError there on overflow), and a call
+        keeps no state.
         """
         grads = {}
         orth = sv = np.zeros(self.s.shape[:-1])
         if lambda1 > 0 or lambda2 > 0:
-            u, s, v, sp = self.u, self.s, self.v, self.split
+            u, s, v, u0, v0 = self.u, self.s, self.v, self._u0, self._v0
             gram_u, gram_v = _t(u) @ u, _t(v) @ v
             out_u = out_v = own_u = own_v = 0.0  # n x k terms; k x k right-hand sides through U, V
             if lambda1 > 0:
-                p_u = u - sp.u_nr @ (_t(sp.u_nr) @ u)
-                p_v = v - sp.v_nr @ (_t(sp.v_nr) @ v)
-                dev_u, dev_v = gram_u - self._eye, gram_v - self._eye
+                p_u, p_v = u - u0 @ (_t(u0) @ u), v - v0 @ (_t(v0) @ v)
+                eye = np.eye(s.shape[-1])
+                dev_u, dev_v = gram_u - eye, gram_v - eye
                 orth = ((2.0 * _sum_sq(p_u) + _sum_sq(dev_u))
                         + (2.0 * _sum_sq(p_v) + _sum_sq(dev_v)))
                 out_u, out_v = 4.0 * lambda1 * p_u, 4.0 * lambda1 * p_v
@@ -362,7 +351,6 @@ def stack_adapters(adapters):
     st.n = adapters[0].n
     st.members = list(adapters)
     st.bind({key: _stack([getattr(a, key) for a in adapters], key) for key in cls._TENSORS})
-    st._stack_rest(adapters)
     return st
 
 

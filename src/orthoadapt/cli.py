@@ -5,7 +5,7 @@ is deterministic given (config, seed); artifacts are CSV/JSON plus EMX matrix
 files with no timestamps or absolute paths, so re-runs are byte-identical.
 
 Exit codes: 0 success, 1 usage/config/format error, 2 runtime or numerical
-failure (missing checkpoint, pretraining failure, divergence).
+failure (missing checkpoint, pretraining failure, divergence, out of memory).
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import argparse
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
+
+import numpy as np
 
 from .analysis import effective_rank, projection_export
 from .data import SyntheticSpec
@@ -313,12 +315,17 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 1
     try:
-        return args.func(args)
+        # isfinite checks report a divergence; NumPy's warnings would repeat it
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ConfigError, FormatError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NumericalError, PretrainingFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

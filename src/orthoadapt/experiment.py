@@ -373,10 +373,15 @@ class PretrainResult:
     accuracy_trace: list  # (iter, accuracy) pairs
 
 
-def semantic_shards(spec: SyntheticSpec, seq_len):
-    """The pretraining split, split 80/20 into train and held-out shards."""
+def semantic_shards(spec: SyntheticSpec, seq_len, min_held_out=1):
+    """The pretraining split, split 80/20 into train and held-out shards;
+    ConfigError naming spec.samples_per_split if the held-out shard would
+    have fewer than ``min_held_out`` samples."""
+    cut = max(1, int(spec.samples_per_split * 0.8))
+    if spec.samples_per_split - cut < min_held_out:
+        raise ConfigError(f"spec.samples_per_split {spec.samples_per_split} holds out fewer "
+                          f"than the {min_held_out} pretraining samples needed")
     ds = gen_dataset(spec, "pretrain", seq_len)
-    cut = max(1, int(ds.groups * 0.8))
     train_ds = Dataset(x=ds.x[: cut * seq_len], y=ds.y[:cut], seq_len=seq_len)
     eval_ds = Dataset(x=ds.x[cut * seq_len :], y=ds.y[cut:], seq_len=seq_len)
     return train_ds, eval_ds
@@ -431,7 +436,8 @@ def finetune_run(pretrained: ToyModel, spec: SyntheticSpec, cfg: TrainConfig):
         "seen": gen_dataset(spec, "finetune_test_seen", seq_len),
         "unseen": gen_dataset(spec, "finetune_test_unseen", seq_len),
     }
-    _, semantic_eval = semantic_shards(spec, seq_len)
+    # the rank probe's PCA needs two held-out samples
+    _, semantic_eval = semantic_shards(spec, seq_len, min_held_out=2)
     report = train(model, train_ds, cfg, eval_sets=eval_sets, rank_set=semantic_eval)
     return model, report
 

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -382,10 +383,12 @@ class TestFactorEnergy:
             for p in a.trainable().values():
                 p += 0.05 * rng.standard_normal(p.shape)
         ad = members[0] if m == 1 else stack_adapters(members)
+        assert hasattr(ad, "split") == (m == 1)  # a stack keeps no split
         clean = copy.deepcopy(ad)
         both, orth_only = clean.reg_terms(0.7, 0.9), clean.reg_terms(0.7, 0.0)
-        ad.split.u_r[...] = np.nan
-        ad.split.v_r[...] = np.nan
+        for a in members:
+            a.split.u_r[...] = np.nan
+            a.split.v_r[...] = np.nan
         got = [ad.reg_terms(0.7, 0.9)]
         ad._w_principal[...] = np.nan
         got.append(ad.reg_terms(0.7, 0.0))
@@ -612,12 +615,29 @@ class TestStack:
     def test_members_become_views(self):
         members = random_adapters("svd", 3, 5, 2, 0)
         before = [a.effective_weight() for a in members]
+        u_r = members[2].split.u_r
         stack = stack_adapters(members)
         for a, w in zip(members, before):
             assert a.effective_weight().tobytes() == w.tobytes()
         members[1].u[0, 0] += 1.0  # an edit through a member shows in the stack
         assert stack.u[1, 0, 0] == members[1].u[0, 0]
-        assert np.shares_memory(members[2].split.u_r, stack.split.u_r)
+        for key in ("_w_principal", "_u0"):
+            assert np.shares_memory(getattr(members[2], key), getattr(stack, key)), key
+        # the frozen factors stay with each member, neither stacked nor copied
+        assert members[2].split.u_r is u_r
+        assert not hasattr(stack, "split")
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_svd_stack_allocates_only_its_tensors(self, m):
+        members = random_adapters("svd", m, 128, 2, 0)
+        tracemalloc.start()
+        try:
+            stack = stack_adapters(members)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stacked = sum(getattr(stack, key).nbytes for key in SvdResidualAdapter._TENSORS)
+        assert peak <= 1.1 * stacked, (peak, stacked)
 
     def test_rejects_mixed_kinds_and_shapes(self):
         with pytest.raises(ValidationError, match="one kind"):

@@ -146,9 +146,8 @@ class TestFinetune:
         path.write_text(json.dumps(cfg))
         out = tmp_path / "div"
         capsys.readouterr()
-        with np.errstate(all="ignore"):
-            rc = main(["finetune", "--config", str(path), "--checkpoint", str(checkpoint),
-                       "--out", str(out)])
+        rc = main(["finetune", "--config", str(path), "--checkpoint", str(checkpoint),
+                   "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 2
         assert "non-finite activations" in err and "Traceback" not in err
@@ -168,9 +167,8 @@ class TestFinetune:
         path.write_text(json.dumps(cfg))
         out = tmp_path / "ovf"
         capsys.readouterr()
-        with np.errstate(all="ignore"):
-            rc = main(["finetune", "--config", str(path), "--checkpoint", str(checkpoint),
-                       "--out", str(out)])
+        rc = main(["finetune", "--config", str(path), "--checkpoint", str(checkpoint),
+                   "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 2
         assert "Traceback" not in err
@@ -442,20 +440,72 @@ for argv in (["pretrain", "--config", cfg, "--out", out + "/pre"],
 """
 
 
-def test_artifacts_identical_across_blas_threads(tmp_path, config_path):
+def _fresh_env(**extra):
+    """os.environ plus ``extra``, with this package first on PYTHONPATH."""
     package_root = str(Path(orthoadapt.__file__).resolve().parents[1])
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+
+
+def test_artifacts_identical_across_blas_threads(tmp_path, config_path):
     trees = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [package_root,
-                                                            os.environ.get("PYTHONPATH")])))
         run = subprocess.run([sys.executable, "-c", _PIPELINE, str(config_path), str(out)],
-                             env=env, capture_output=True, text=True, timeout=600)
+                             env=_fresh_env(OPENBLAS_NUM_THREADS=threads),
+                             capture_output=True, text=True, timeout=600)
         assert run.returncode == 0, run.stderr
         trees.append(tree_bytes(out))
     assert {"ft/trace.csv", "ft/summary.json", "sweep/sweep.csv"} <= set(trees[0])
     assert trees[0] == trees[1]
+
+
+@pytest.mark.parametrize("command,code", [("finetune", 2), ("sweep", 0)])
+def test_divergence_prints_no_numpy_warning(pristine, tmp_path, command, code):
+    # in a fresh interpreter, where NumPy's RuntimeWarnings would reach
+    # stderr: lr 1e308 overflows the factors on the first step
+    cfg = json.loads(json.dumps(TINY_CONFIG))
+    cfg["train"]["lr"] = 1e308
+    path = tmp_path / "diverge.json"
+    path.write_text(json.dumps(cfg))
+    run = subprocess.run([sys.executable, "-m", "orthoadapt.cli", command, "--config", str(path),
+                          "--checkpoint", str(pristine / "pre"), "--out", str(tmp_path / "out")],
+                         env=_fresh_env(), capture_output=True, text=True, timeout=600)
+    assert run.returncode == code
+    assert "Warning" not in run.stderr and "Traceback" not in run.stderr
+
+
+def test_huge_split_exits_2_with_one_error(tmp_path, capsys):
+    # 10**15 samples exceed any address space: the allocation is refused
+    # before anything is written into it
+    cfg = json.loads(json.dumps(TINY_CONFIG))
+    cfg["spec"]["samples_per_split"] = 10**15
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["pretrain", "--config", str(path), "--out", str(tmp_path / "pre")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+
+# pretrain needs one held-out pretraining sample and a fine-tuning cell's
+# rank probe two; each once failed with a message that named no config field
+@pytest.mark.parametrize("command,samples,code", [
+    ("pretrain", 1, 1), ("finetune", 1, 1), ("finetune", 5, 1), ("sweep", 5, 0)])
+def test_too_few_samples_name_the_field(pristine, tmp_path, capsys, command, samples, code):
+    cfg = json.loads(json.dumps(TINY_CONFIG))
+    cfg["spec"]["samples_per_split"] = samples
+    path = tmp_path / "few.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    ckpt = [] if command == "pretrain" else ["--checkpoint", str(pristine / "pre")]
+    capsys.readouterr()
+    rc = main([command, "--config", str(path), *ckpt, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == code
+    if command == "sweep":  # every cell fails and records why
+        err = (out / "sweep.csv").read_text()
+    assert "spec.samples_per_split" in err and "Traceback" not in err
 
 
 class TestSvdSplitAnalyze:
@@ -498,8 +548,7 @@ class TestSvdSplitAnalyze:
         src = tmp_path / "huge.emx"
         write_emx(src, w)
         out = tmp_path / "sp"
-        with np.errstate(all="ignore"):
-            rc = main(["svd-split", str(src), "--rank", "1", "--out", str(out)])
+        rc = main(["svd-split", str(src), "--rank", "1", "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
@@ -600,8 +649,7 @@ def test_emx_commands_finish_or_fail_cleanly(tmp_path, capsys, w, rank):
         for argv, out in ((["svd-split", str(src), "--rank", str(rank)], root / "split"),
                           (["analyze", str(src)], root / "rank")):
             capsys.readouterr()
-            with np.errstate(all="ignore"):  # huge entries overflow on the way
-                rc = main([*argv, "--out", str(out)])
+            rc = main([*argv, "--out", str(out)])  # huge entries overflow on the way
             err = capsys.readouterr().err
             if rc != 0:
                 assert rc in (1, 2) and not out.exists()
