@@ -26,17 +26,20 @@ from .errors import (
     NumericalError,
     PretrainingFailure,
     ValidationError,
+    check_addressable,
 )
 from .experiment import (
+    RANK_PROBE_HELD_OUT,
     PretrainConfig,
     TrainConfig,
     finetune_run,
+    held_out_cut,
     pretrain,
     rank_sweep,
     sweep_csv,
 )
 from .linalg import frobenius_sq, pca, split, svd
-from .model import REGIMES, BackboneConfig, load_model, save_model
+from .model import BLOCK_LAYERS, REGIMES, BackboneConfig, load_model, save_model
 from .seeding import derive_seed
 
 
@@ -85,6 +88,12 @@ def build_config(raw, seed_override=None):
         raise ConfigError(f"backbone.dim {backbone.dim} does not match spec.dim {spec.dim}")
     pre_cfg = PretrainConfig(**pre_kwargs)
     train_cfg = TrainConfig(**train_kwargs)
+    n, L = spec.dim, backbone.seq_len
+    layers = len(BLOCK_LAYERS[backbone.kind])
+    check_addressable(backbone.depth * layers * n * n, f"backbone.depth × {layers} × spec.dim²")
+    for name, groups in (("spec.samples_per_split", spec.samples_per_split),
+                         ("pretrain.batch", pre_cfg.batch), ("train.batch", train_cfg.batch)):
+        check_addressable(groups * L * n, f"{name} × backbone.seq_len × spec.dim")
     sweep_cfg = raw.get("sweep", {})
     for key, value in sweep_cfg.items():
         if not isinstance(value, list) or not all(
@@ -116,6 +125,7 @@ def _prepare_out(path, force, marker="summary.json"):
 def cmd_pretrain(args):
     raw = load_config(args.config)
     spec, backbone, pre_cfg, _, _ = build_config(raw, args.seed)
+    held_out_cut(spec)
     out = _prepare_out(args.out, args.force, "manifest.json")
     result = pretrain(backbone, spec, pre_cfg)
     save_model(result.model, out, extra={
@@ -164,6 +174,7 @@ def cmd_finetune(args):
     if train_cfg.regime in ("svd", "lora") and not 1 <= train_cfg.rank <= spec.dim:
         raise ConfigError(f"train.rank {train_cfg.rank} out of range [1, {spec.dim}] "
                           f"for regime {train_cfg.regime!r}")
+    held_out_cut(spec, RANK_PROBE_HELD_OUT)
     pretrained, out = _load_checkpoint(args, spec)
     model, report = finetune_run(pretrained, spec, train_cfg)
     print(f"trainable parameters: {report.trainable_params}")

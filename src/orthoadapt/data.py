@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError, check_field_types
+from .errors import ConfigError, ValidationError, check_addressable, check_field_types
 from .seeding import substream
 
 SPLITS = ("pretrain", "finetune_train", "finetune_test_seen", "finetune_test_unseen")
@@ -75,6 +75,7 @@ class SyntheticSpec:
             raise ConfigError("samples_per_split and perturb_rank must be >= 1")
         if not (0.0 <= self.method_overlap <= 1.0 and 0.0 <= self.mean_align <= 1.0):
             raise ConfigError("method_overlap and mean_align must lie in [0, 1]")
+        check_addressable(self.dim * self.dim, "spec.dim²")  # bounds every spec array
         rng = substream(self.seed, "clusters")
         # Orthogonal cluster means with per-coordinate RMS cluster_mean_scale
         # (norm scale * sqrt(dim), matching a Gaussian draw of that scale).

@@ -1,6 +1,7 @@
 """Exception types shared across the package."""
 
 import math
+import sys
 from dataclasses import fields
 from numbers import Integral, Real
 
@@ -44,3 +45,11 @@ def check_field_types(cfg):
                 or kind is not str and not math.isfinite(value)):
             what = f.type if kind is str else f"finite {f.type}"
             raise ConfigError(f"{type(cfg).__name__}.{f.name} must be a {what}, got {value!r}")
+
+
+def check_addressable(values, what):
+    """ConfigError unless ``values`` float64 values fit in one NumPy array,
+    whose byte count must fit in a signed pointer; ``what`` names the config
+    fields whose product ``values`` is."""
+    if values * 8 > sys.maxsize:
+        raise ConfigError(f"{what} is {values} values, more than one array can address")

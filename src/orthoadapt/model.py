@@ -1,12 +1,13 @@
 """Toy backbones whose linear layers are adapter-wrapped.
 
-Two block types:
+Two block types, both on (rows, dim) activations:
 
 * mlp - h <- tanh(h @ W^T), one adapted matrix per block.
-* attention - single-head self-attention over groups of ``seq_len`` vectors:
-  scores = Q K^T / sqrt(n), row-softmax, context @ W_out^T, residual add.
-  Four adapted matrices (q, k, v, out) per block; features are mean-pooled
-  over the sequence before the classification head.
+* attention - single-head self-attention over groups of ``seq_len`` rows,
+  viewed as (groups, seq_len, dim) only where a group's rows mix: scores =
+  Q K^T / sqrt(n), row-softmax, context = P V, and their gradients. Then
+  context @ W_out^T and a residual add; four adapted matrices (q, k, v, out)
+  per block; features are mean-pooled over each group before the head.
 
 The head (dim -> classes, with bias) is always trainable. A model keeps its m
 adapters stacked (``adapters.stack_adapters``), so a pass builds all m
@@ -200,8 +201,8 @@ def _forward(model: ToyModel, xa, train=False):
     L = model.seq_len
     weights = model.stack.effective_weight()  # (m, n, n), in adapters() order
     cache = {"blocks": [], "weights": weights} if train else None
+    h = xa
     if model.cfg.kind == "mlp":
-        h = xa
         for b in range(model.cfg.depth):
             z = h @ weights[b].T
             h_new = np.tanh(z)
@@ -212,23 +213,22 @@ def _forward(model: ToyModel, xa, train=False):
             h = h_new
         features = h
     else:
-        h = xa.reshape(-1, L, n)
         inv_sqrt = 1.0 / math.sqrt(n)
         for b in range(model.cfg.depth):
             wq, wk, wv, wo = weights[4 * b:4 * b + 4]
             # one at a time, so the last block's q, k and v are freed as they go
-            q = _rows_matmul(h, wq.T)
-            k = _rows_matmul(h, wk.T)
-            v = _rows_matmul(h, wv.T)
+            q = (h @ wq.T).reshape(-1, L, n)
+            k = (h @ wk.T).reshape(-1, L, n)
+            v = (h @ wv.T).reshape(-1, L, n)
             p = _softmax((q @ k.swapaxes(1, 2)) * inv_sqrt)
-            ctx = p @ v
-            h_new = h + _rows_matmul(ctx, wo.T)
+            ctx = (p @ v).reshape(-1, n)
+            h_new = h + ctx @ wo.T
             if not np.logical_and.reduce(np.isfinite(h_new), axis=None):
                 raise NumericalError(f"non-finite activations in block {b}")
             if train:
                 cache["blocks"].append({"h_in": h, "q": q, "k": k, "v": v, "p": p, "ctx": ctx})
             h = h_new
-        features = np.add.reduce(h, axis=1) / L
+        features = np.add.reduce(h.reshape(-1, L, n), axis=1) / L
 
     logits = features @ model.head_w.T + model.head_b
     if train:
@@ -302,7 +302,7 @@ def model_backward(model: ToyModel, dlogits):
     weights = cache["weights"]
     dw = np.empty_like(weights)
     dfeat = dlog @ model.head_w
-    L = model.seq_len
+    n, L = model.dim, model.seq_len
 
     if model.cfg.kind == "mlp":
         dh = dfeat
@@ -312,32 +312,22 @@ def model_backward(model: ToyModel, dlogits):
             dw[b] = dz.T @ blk["h_in"]
             dh = dz @ weights[b]
     else:
-        inv_sqrt = 1.0 / math.sqrt(model.dim)
-        dh = np.repeat(dfeat[:, None, :] / L, L, axis=1)
+        inv_sqrt = 1.0 / math.sqrt(n)
+        dh = np.repeat(dfeat / L, L, axis=0)
         for b in range(model.cfg.depth - 1, -1, -1):
             blk = cache["blocks"][b]
             h_in, q, k, v, p, ctx = (blk[key] for key in ("h_in", "q", "k", "v", "p", "ctx"))
             wq, wk, wv, wo = weights[4 * b:4 * b + 4]
-            dctx = _rows_matmul(dh, wo)  # the residual add passes dh to out and to h
-            dw[4 * b + 3] = _flat_weight_grad(dh, ctx)
+            dctx = (dh @ wo).reshape(-1, L, n)  # the residual add passes dh to out and to h
+            dw[4 * b + 3] = dh.T @ ctx
             dp = dctx @ v.swapaxes(1, 2)
-            dv = p.swapaxes(1, 2) @ dctx
+            dv = (p.swapaxes(1, 2) @ dctx).reshape(-1, n)
             dscores = p * (dp - np.add.reduce(dp * p, axis=-1, keepdims=True))
-            dq = (dscores @ k) * inv_sqrt
-            dk = (dscores.swapaxes(1, 2) @ q) * inv_sqrt
-            dw[4 * b:4 * b + 3] = [_flat_weight_grad(d, h_in) for d in (dq, dk, dv)]
-            dh = dh + _rows_matmul(dq, wq) + _rows_matmul(dk, wk) + _rows_matmul(dv, wv)
+            dq = ((dscores @ k) * inv_sqrt).reshape(-1, n)
+            dk = ((dscores.swapaxes(1, 2) @ q) * inv_sqrt).reshape(-1, n)
+            dw[4 * b:4 * b + 3] = [d.T @ h_in for d in (dq, dk, dv)]
+            dh = dh + dq @ wq + dk @ wk + dv @ wv
     return {**model.stack.weight_grad(dw), **head}
-
-
-def _rows_matmul(h, w):
-    """``h @ w`` on a (groups, L, n) stack as one GEMM on its (groups·L, n) rows."""
-    return (h.reshape(-1, h.shape[-1]) @ w).reshape(h.shape[:-1] + w.shape[-1:])
-
-
-def _flat_weight_grad(d_out, h_in):
-    n = d_out.shape[-1]
-    return d_out.reshape(-1, n).T @ h_in.reshape(-1, n)
 
 
 def save_model(model: ToyModel, directory, extra=None):

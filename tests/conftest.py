@@ -4,9 +4,10 @@ The acceptance experiments (five seeded worlds x four fine-tuning regimes at
 the default desk-scale recipe) are expensive, so they are built once per
 session and shared by the analysis and acceptance tests. Everything is
 deterministic: a world seed s drives the synthetic data and pretraining, and
-the fine-tuning stream uses seed 100 + s. Each world depends on its seed
-alone, so the worlds are built in parallel worker processes, one per CPU
-up to five.
+the fine-tuning stream uses seed 100 + s. Each (world, regime) cell depends
+on its seed and regime alone, so the 20 cells run in parallel worker
+processes, one per CPU up to 20; each pretrains its world again, which costs
+far less than its fine-tuning run.
 """
 
 import multiprocessing
@@ -39,27 +40,32 @@ REGIMES = {
 }
 
 
-def run_world(seed):
-    """Pretrain one world and fine-tune it under every regime."""
+def run_cell(seed, tag):
+    """Pretrain world ``seed`` and fine-tune it under regime ``tag``; returns
+    the world's spec, its pretraining accuracy and the cell's run."""
     spec = SyntheticSpec(seed=seed)
     backbone = BackboneConfig(kind="mlp", dim=32, depth=2, seq_len=1)
     pre = pretrain(backbone, spec, PretrainConfig(seed=seed))
-    semantic_eval = semantic_shards(spec, 1)[1]
-    world = {"spec": spec, "pretrain_accuracy": pre.accuracy, "runs": {}}
-    for tag, kwargs in REGIMES.items():
-        cfg = TrainConfig(iters=FINETUNE_ITERS, seed=100 + seed, **kwargs)
-        model, report = finetune_run(pre.model, spec, cfg)
-        logits, _, _ = evaluate(model, semantic_eval)
-        world["runs"][tag] = {
-            "report": report,
-            "collapse": logit_line_fit(logits),
-            "semantic_logit_std": float(np.std(logits[:, 1])),
-        }
-    return world
+    cfg = TrainConfig(iters=FINETUNE_ITERS, seed=100 + seed, **REGIMES[tag])
+    model, report = finetune_run(pre.model, spec, cfg)
+    logits, _, _ = evaluate(model, semantic_shards(spec, 1)[1])
+    return spec, pre.accuracy, {
+        "report": report,
+        "collapse": logit_line_fit(logits),
+        "semantic_logit_std": float(np.std(logits[:, 1])),
+    }
 
 
 @pytest.fixture(scope="session")
 def experiment_bundle():
-    workers = min(len(ACCEPTANCE_SEEDS), len(os.sched_getaffinity(0)))
+    """World seed -> {"spec", "pretrain_accuracy", "runs": regime -> run}."""
+    cells = [(seed, tag) for seed in ACCEPTANCE_SEEDS for tag in REGIMES]
+    workers = min(len(cells), len(os.sched_getaffinity(0)))
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-        return dict(zip(ACCEPTANCE_SEEDS, pool.map(run_world, ACCEPTANCE_SEEDS)))
+        results = pool.map(run_cell, *zip(*cells))
+        bundle = {}
+        for (seed, tag), (spec, accuracy, run) in zip(cells, results):
+            world = bundle.setdefault(seed, {"spec": spec, "pretrain_accuracy": accuracy,
+                                             "runs": {}})
+            world["runs"][tag] = run
+    return bundle

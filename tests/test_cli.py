@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import orthoadapt
 from orthoadapt import linalg
-from orthoadapt.cli import main
+from orthoadapt.cli import _SECTIONS, main
 from orthoadapt.emx import read_emx, write_emx
 
 TINY_CONFIG = {
@@ -286,12 +286,17 @@ def test_checkpoint_manifest_damage(pristine, tmp_path, capsys, name, key, value
 
 
 # each value once ended in a traceback, an exit 0 on NaN data, or a crash
-# deep inside data generation or pretraining
+# deep inside data generation or pretraining; the sizes of 2**62 and 2**70
+# are ones NumPy refuses before it allocates, as their byte count does not
+# fit in a pointer
 @pytest.mark.parametrize("section,field,value", [
     ("pretrain", "eval_every", 0), ("pretrain", "batch", 0), ("pretrain", "max_iters", -1),
     ("pretrain", "lr", -0.001), ("spec", "samples_per_split", -3), ("spec", "perturb_rank", 0),
     ("spec", "cluster_mean_scale", 0), ("spec", "method_overlap", 2.0),
     ("spec", "mean_align", -1.0), ("backbone", "kind", ["mlp"]), ("spec", "holdout_methods", 3),
+    *((section, field, size) for size in (2**62, 2**70)
+      for section, field in (("spec", "dim"), ("spec", "samples_per_split"),
+                             ("backbone", "seq_len"), ("pretrain", "batch"), ("train", "batch"))),
 ])
 def test_config_value_out_of_range(tmp_path, capsys, section, field, value):
     cfg = json.loads(json.dumps(TINY_CONFIG))
@@ -300,7 +305,8 @@ def test_config_value_out_of_range(tmp_path, capsys, section, field, value):
     bad.write_text(json.dumps(cfg))
     rc = main(["pretrain", "--config", str(bad), "--out", str(tmp_path / "x")])
     err = capsys.readouterr().err
-    assert rc == 1
+    assert rc == 1 and not (tmp_path / "x").exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert field in err and "Traceback" not in err
 
 
@@ -489,7 +495,8 @@ def test_huge_split_exits_2_with_one_error(tmp_path, capsys):
 
 
 # pretrain needs one held-out pretraining sample and a fine-tuning cell's
-# rank probe two; each once failed with a message that named no config field
+# rank probe two; each once failed with a message that named no config field,
+# and then with an empty --out left behind
 @pytest.mark.parametrize("command,samples,code", [
     ("pretrain", 1, 1), ("finetune", 1, 1), ("finetune", 5, 1), ("sweep", 5, 0)])
 def test_too_few_samples_name_the_field(pristine, tmp_path, capsys, command, samples, code):
@@ -505,6 +512,9 @@ def test_too_few_samples_name_the_field(pristine, tmp_path, capsys, command, sam
     assert rc == code
     if command == "sweep":  # every cell fails and records why
         err = (out / "sweep.csv").read_text()
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
     assert "spec.samples_per_split" in err and "Traceback" not in err
 
 
@@ -620,6 +630,54 @@ class TestReport:
         assert main(["report", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert name in err and "Traceback" not in err
+
+
+# a base config small enough to pretrain and fine-tune in a few milliseconds
+_FUZZ_BASE = {
+    "spec": {"dim": 8, "clusters": 2, "samples_per_split": 16, "seed": 0},
+    "backbone": {"kind": "attention", "dim": 8, "depth": 1, "seq_len": 2},
+    "pretrain": {"max_iters": 2, "eval_every": 1, "batch": 4, "min_accuracy": 0.0, "seed": 0},
+    "train": {"iters": 2, "batch": 4, "regime": "svd", "rank": 1, "seed": 0},
+}
+_FUZZ_FIELDS = [(section, name) for section in _FUZZ_BASE for name in sorted(_SECTIONS[section])]
+_FUZZ_VALUES = [0, -1, 2**62, 2**70, True, float("nan"), float("inf"), float("-inf"), 1e308,
+                "x", [1]]
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoint(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "config.json").write_text(json.dumps(_FUZZ_BASE))
+    assert main(["pretrain", "--config", str(root / "config.json"), "--out", str(root / "pre")]) == 0
+    return root / "pre"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(_FUZZ_FIELDS), st.sampled_from(_FUZZ_VALUES))
+def test_config_field_fuzz_exits_cleanly(tmp_path, capsys, fuzz_checkpoint, where, value):
+    """One config field set to an edge value: pretrain, and then finetune
+    (on this run's checkpoint, or the base one if pretrain failed), each exit
+    0, 1 or 2 with at most one error line and no traceback or warning."""
+    section, name = where
+    if name in ("iters", "max_iters") and isinstance(value, int) and value > 2:
+        return  # a run that long is a valid request
+    cfg = json.loads(json.dumps(_FUZZ_BASE))
+    cfg[section][name] = value
+    with tempfile.TemporaryDirectory(dir=tmp_path) as root:
+        root = Path(root)
+        path = root / "config.json"
+        path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        pretrain_rc = main(["pretrain", "--config", str(path), "--out", str(root / "pre")])
+        pretrain_err = capsys.readouterr().err
+        ckpt = root / "pre" if pretrain_rc == 0 else fuzz_checkpoint
+        rc = main(["finetune", "--config", str(path), "--checkpoint", str(ckpt),
+                   "--out", str(root / "ft")])
+        for code, err in ((pretrain_rc, pretrain_err), (rc, capsys.readouterr().err)):
+            assert code in (0, 1, 2), err
+            assert "Traceback" not in err and "Warning" not in err
+            assert err.count("error:") <= 1
 
 
 # zeros of both signs, subnormals and the edges of the float64 range, mixed
