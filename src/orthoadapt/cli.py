@@ -6,11 +6,15 @@ files with no timestamps or absolute paths, so re-runs are byte-identical.
 
 Exit codes: 0 success, 1 usage/config/format error, 2 runtime or numerical
 failure (missing checkpoint, pretraining failure, divergence, out of memory).
+No command creates ``--out`` until its work has succeeded, so a failure
+leaves no output directory behind; a diverged ``finetune`` still writes its
+partial report.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -29,11 +33,9 @@ from .errors import (
     check_addressable,
 )
 from .experiment import (
-    RANK_PROBE_HELD_OUT,
     PretrainConfig,
     TrainConfig,
     finetune_run,
-    held_out_cut,
     pretrain,
     rank_sweep,
     sweep_csv,
@@ -73,6 +75,13 @@ def load_config(path):
     return raw
 
 
+def _check_data_size(spec, seq_len, seq_len_name, *batches):
+    """ConfigError unless a split of ``spec``, and each (field name, groups)
+    of ``batches``, fits in one array at ``seq_len`` rows a group."""
+    for name, groups in (("spec.samples_per_split", spec.samples_per_split), *batches):
+        check_addressable(groups * seq_len * spec.dim, f"{name} × {seq_len_name} × spec.dim")
+
+
 def build_config(raw, seed_override=None):
     """Materialize dataclass configs; --seed overrides every seed field."""
     spec_kwargs = dict(raw.get("spec", {}))
@@ -88,12 +97,11 @@ def build_config(raw, seed_override=None):
         raise ConfigError(f"backbone.dim {backbone.dim} does not match spec.dim {spec.dim}")
     pre_cfg = PretrainConfig(**pre_kwargs)
     train_cfg = TrainConfig(**train_kwargs)
-    n, L = spec.dim, backbone.seq_len
+    n = spec.dim
     layers = len(BLOCK_LAYERS[backbone.kind])
     check_addressable(backbone.depth * layers * n * n, f"backbone.depth × {layers} × spec.dim²")
-    for name, groups in (("spec.samples_per_split", spec.samples_per_split),
-                         ("pretrain.batch", pre_cfg.batch), ("train.batch", train_cfg.batch)):
-        check_addressable(groups * L * n, f"{name} × backbone.seq_len × spec.dim")
+    _check_data_size(spec, backbone.seq_len, "backbone.seq_len",
+                     ("pretrain.batch", pre_cfg.batch), ("train.batch", train_cfg.batch))
     sweep_cfg = raw.get("sweep", {})
     for key, value in sweep_cfg.items():
         if not isinstance(value, list) or not all(
@@ -110,25 +118,33 @@ def _spec_echo(spec):
     return {k: v for k, v in asdict(spec).items() if k in _SECTIONS["spec"]}
 
 
-def _prepare_out(path, force, marker="summary.json"):
+def _check_out(path, force, marker="summary.json"):
+    """``--out``, refused before the work if it is not a directory or holds
+    ``marker`` without ``force``. ``os.path`` only reads, and takes a path it
+    cannot read for a missing one, which ``_make_out`` then refuses."""
     out = Path(path)
+    if os.path.exists(out) and not os.path.isdir(out):
+        raise ConfigError(f"cannot create output directory {out}: not a directory")
+    if os.path.exists(out / marker) and not force:
+        raise ConfigError(f"{out / marker} exists; pass --force to overwrite")
+    return out
+
+
+def _make_out(out):
+    """Create ``--out`` once the work has succeeded."""
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from None
-    target = out / marker
-    if target.exists() and not force:
-        raise ConfigError(f"{target} exists; pass --force to overwrite")
     return out
 
 
 def cmd_pretrain(args):
     raw = load_config(args.config)
     spec, backbone, pre_cfg, _, _ = build_config(raw, args.seed)
-    held_out_cut(spec)
-    out = _prepare_out(args.out, args.force, "manifest.json")
+    out = _check_out(args.out, args.force, "manifest.json")
     result = pretrain(backbone, spec, pre_cfg)
-    save_model(result.model, out, extra={
+    save_model(result.model, _make_out(out), extra={
         "accuracy": result.accuracy,
         "iterations": result.iterations,
         "spec": _spec_echo(spec),
@@ -142,18 +158,18 @@ def cmd_pretrain(args):
     return 0
 
 
-def _load_checkpoint(args, spec):
-    """The pretrained model and the ``--out`` directory of a fine-tuning
-    command. ``--out`` is created last, so a run whose checkpoint or spec
-    fails leaves no directory behind."""
+def _load_checkpoint(args, spec, train_cfg):
+    """The pretrained model and the checked, not yet created ``--out`` of a
+    fine-tuning command; the data is sized by the checkpoint's seq_len."""
     ckpt = Path(args.checkpoint)
     if not (ckpt / "manifest.json").exists():
         raise NumericalError(f"checkpoint {ckpt} not found")
     pretrained, _ = load_model(ckpt)
     if pretrained.dim != spec.dim:
         raise ConfigError(f"checkpoint dim {pretrained.dim} does not match spec.dim {spec.dim}")
-    spec.unseen_methods  # ConfigError if nothing is held out
-    return pretrained, _prepare_out(args.out, args.force)
+    _check_data_size(spec, pretrained.seq_len, f"backbone.seq_len of checkpoint {ckpt}",
+                     ("train.batch", train_cfg.batch))
+    return pretrained, _check_out(args.out, args.force)
 
 
 def cmd_finetune(args):
@@ -174,11 +190,10 @@ def cmd_finetune(args):
     if train_cfg.regime in ("svd", "lora") and not 1 <= train_cfg.rank <= spec.dim:
         raise ConfigError(f"train.rank {train_cfg.rank} out of range [1, {spec.dim}] "
                           f"for regime {train_cfg.regime!r}")
-    held_out_cut(spec, RANK_PROBE_HELD_OUT)
-    pretrained, out = _load_checkpoint(args, spec)
+    pretrained, out = _load_checkpoint(args, spec, train_cfg)
     model, report = finetune_run(pretrained, spec, train_cfg)
     print(f"trainable parameters: {report.trainable_params}")
-    (out / "trace.csv").write_text(report.trace_csv())
+    (_make_out(out) / "trace.csv").write_text(report.trace_csv())
     summary = report.summary()
     summary["spec"] = _spec_echo(spec)
     write_json(out / "summary.json", summary)
@@ -192,14 +207,14 @@ def cmd_finetune(args):
 def cmd_sweep(args):
     raw = load_config(args.config)
     spec, _, _, train_cfg, sweep_cfg = build_config(raw, args.seed)
-    pretrained, out = _load_checkpoint(args, spec)
+    pretrained, out = _load_checkpoint(args, spec, train_cfg)
     rows = rank_sweep(
         pretrained, spec, train_cfg,
         residual_ranks=sweep_cfg.get("residual_ranks", [1, 2, 4]),
         lora_ranks=sweep_cfg.get("lora_ranks", []),
         seeds=sweep_cfg.get("seeds", [0]),
     )
-    (out / "sweep.csv").write_text(sweep_csv(rows))
+    (_make_out(out) / "sweep.csv").write_text(sweep_csv(rows))
     write_json(out / "summary.json", {
         "cells": len(rows),
         "train": asdict(train_cfg),
@@ -211,6 +226,7 @@ def cmd_sweep(args):
 
 
 def cmd_svd_split(args):
+    out = _check_out(args.out, args.force, "manifest.json")
     w = read_emx(args.weights)
     factors = svd(w, label=str(args.weights))
     k = factors.s.shape[0]
@@ -219,7 +235,7 @@ def cmd_svd_split(args):
     manifest = {"rows": int(w.shape[0]), "cols": int(w.shape[1]), "rank": args.rank,
                 "frobenius_sq": frobenius_sq(w), "files": {}}
     sp = split(factors, args.rank)
-    out = _prepare_out(args.out, args.force, "manifest.json")
+    _make_out(out)
     for name, arr in (("u_r", sp.u_r), ("v_r", sp.v_r), ("u_nr", sp.u_nr), ("v_nr", sp.v_nr),
                       ("s_r", sp.s_r[:, None]), ("s_nr", sp.s_nr[:, None])):
         if arr.size:
@@ -231,13 +247,13 @@ def cmd_svd_split(args):
 
 
 def cmd_analyze(args):
+    out = _check_out(args.out, args.force)
     feats = read_emx(args.features)
     dec = pca(feats)
     rep = effective_rank(feats, args.threshold, Path(args.features).name, dec)
     projection = (None if rep.zero_variance
                   else projection_export(feats, min(2, feats.shape[1]), dec))
-    out = _prepare_out(args.out, args.force)
-    (out / "rank_report.csv").write_text(rep.to_csv())
+    (_make_out(out) / "rank_report.csv").write_text(rep.to_csv())
     if projection is not None:
         write_emx(out / "projection.emx", projection)
     write_json(out / "summary.json", {

@@ -374,21 +374,14 @@ class PretrainResult:
     accuracy_trace: list  # (iter, accuracy) pairs
 
 
-def held_out_cut(spec: SyntheticSpec, min_held_out=1):
-    """The number of pretraining samples in the train shard of an 80/20
-    split; ConfigError naming spec.samples_per_split if the held-out shard
-    would have fewer than ``min_held_out`` samples."""
+def semantic_shards(spec: SyntheticSpec, seq_len, min_held_out=1):
+    """The pretraining split, split 80/20 into train and held-out shards;
+    ConfigError naming spec.samples_per_split, before any data is made, if
+    the held-out shard would have fewer than ``min_held_out`` samples."""
     cut = max(1, int(spec.samples_per_split * 0.8))
     if spec.samples_per_split - cut < min_held_out:
         raise ConfigError(f"spec.samples_per_split {spec.samples_per_split} holds out fewer "
                           f"than the {min_held_out} pretraining samples needed")
-    return cut
-
-
-def semantic_shards(spec: SyntheticSpec, seq_len, min_held_out=1):
-    """The pretraining split, split 80/20 into train and held-out shards;
-    ConfigError as ``held_out_cut``."""
-    cut = held_out_cut(spec, min_held_out)
     ds = gen_dataset(spec, "pretrain", seq_len)
     train_ds = Dataset(x=ds.x[: cut * seq_len], y=ds.y[:cut], seq_len=seq_len)
     eval_ds = Dataset(x=ds.x[cut * seq_len :], y=ds.y[cut:], seq_len=seq_len)

@@ -75,12 +75,14 @@ class BackboneConfig:
 
 
 def _layers(cfg):
-    """(block, layer name) of every adapted matrix, in layer order."""
-    return [(b, layer) for b in range(cfg.depth) for layer in BLOCK_LAYERS[cfg.kind]]
+    """(block, layer name) of every adapted matrix, in layer order, made
+    lazily, so a checkpoint's ``depth`` costs nothing before its adapters
+    are read."""
+    return ((b, layer) for b in range(cfg.depth) for layer in BLOCK_LAYERS[cfg.kind])
 
 
 def _names(cfg):
-    return [f"block{b}.{layer}" for b, layer in _layers(cfg)]
+    return (f"block{b}.{layer}" for b, layer in _layers(cfg))
 
 
 class ToyModel:

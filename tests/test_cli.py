@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -365,6 +366,110 @@ def test_finetune_rank_out_of_range_stops_before_out(pristine, tmp_path, capsys,
     assert err == f"error: train.rank {rank} out of range [1, 16] for regime {regime!r}\n"
 
 
+def _copy_checkpoint(ckpt, root, **backbone):
+    """A copy of checkpoint ``ckpt`` as ``root``/pre, with the ``backbone``
+    fields of its manifest set."""
+    copy = root / "pre"
+    shutil.copytree(ckpt, copy)
+    manifest = json.loads((copy / "manifest.json").read_text())
+    manifest["backbone"].update(backbone)
+    (copy / "manifest.json").write_text(json.dumps(manifest))
+    return copy
+
+
+# each once exited 2 with an empty --out left behind
+@pytest.mark.parametrize("case", ["below_bar", "nonfinite_loss", "weight_overflow"])
+def test_failed_work_leaves_no_out(pristine, tmp_path, capsys, case):
+    cfg = json.loads(json.dumps(TINY_CONFIG))
+    argv = ["pretrain"]
+    if case == "below_bar":
+        cfg["pretrain"].update(max_iters=1, min_accuracy=0.99)
+    elif case == "nonfinite_loss":
+        cfg["pretrain"]["lr"] = 1e300
+    else:  # the svd of the adapted weight is not finite
+        w = _copy_checkpoint(pristine / "pre", tmp_path) / "adapters" / "block0.q" / "w.emx"
+        write_emx(w, np.full_like(read_emx(w), 1e308))
+        argv = ["finetune", "--checkpoint", str(tmp_path / "pre")]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    rc = main([*argv, "--config", str(path), "--out", str(tmp_path / "nested" / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "nested").exists()
+
+
+# the function each command does its work in, and the file whose presence
+# marks an earlier run
+_WORK = {"pretrain": ("pretrain", "manifest.json"), "finetune": ("finetune_run", "summary.json"),
+         "sweep": ("rank_sweep", "summary.json"), "svd-split": ("svd", "manifest.json"),
+         "analyze": ("pca", "summary.json")}
+
+
+@pytest.mark.parametrize("case", ["marker_exists", "out_is_file"])
+@pytest.mark.parametrize("command", sorted(_WORK))
+def test_unusable_out_refused_before_work(pristine, tmp_path, capsys, monkeypatch, command,
+                                          case):
+    work, marker = _WORK[command]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(f"orthoadapt.cli.{work}", no_work)
+    out = tmp_path / "out"
+    if case == "marker_exists":
+        out.mkdir()
+        (out / marker).write_text("{}")
+    else:
+        out.write_text("")
+    write_emx(tmp_path / "w.emx", np.eye(3))
+    config = ["--config", str(pristine / "config.json")]
+    argv = {"pretrain": config, "svd-split": [str(tmp_path / "w.emx"), "--rank", "1"],
+            "analyze": [str(tmp_path / "w.emx")]}.get(
+                command, [*config, "--checkpoint", str(pristine / "pre")])
+    capsys.readouterr()
+    rc = main([command, *argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {out}" if case == "marker_exists"
+                          else f"error: cannot create output directory {out}")
+    assert err.count("\n") == 1
+
+
+# both once ended in a traceback from data generation: the config's sizes
+# were checked against the config's seq_len, not the checkpoint's
+@pytest.mark.parametrize("command", ["finetune", "sweep"])
+def test_checkpoint_seq_len_too_large_stops_before_out(pristine, tmp_path, capsys, command):
+    ckpt = _copy_checkpoint(pristine / "pre", tmp_path, seq_len=2**62)
+    capsys.readouterr()
+    rc = main([command, "--config", str(pristine / "config.json"), "--checkpoint", str(ckpt),
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1 and not (tmp_path / "out").exists()
+    assert err.startswith("error: spec.samples_per_split × backbone.seq_len of checkpoint "
+                          f"{ckpt} × spec.dim") and err.count("\n") == 1
+
+
+# a depth of 10**6 once listed its 4 million adapter names, 618 MB, before
+# the first missing adapter was read; 2**62 would exhaust any memory
+@pytest.mark.parametrize("depth", [10**6, 2**62], ids=["1e6", "2**62"])
+def test_deep_checkpoint_fails_at_first_missing_adapter(pristine, tmp_path, capsys, depth):
+    ckpt = _copy_checkpoint(pristine / "pre", tmp_path, depth=depth)
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        rc = main(["finetune", "--config", str(pristine / "config.json"), "--checkpoint",
+                   str(ckpt), "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert rc == 1 and err.count("\n") == 1
+    assert str(ckpt / "adapters" / f"block{TINY_CONFIG['backbone']['depth']}.q") in err
+    assert peak < 20 * 2**20
+
+
 class TestSweep:
     def test_sweep_and_determinism(self, tmp_path, config_path, checkpoint):
         a = tmp_path / "sa"
@@ -678,6 +783,29 @@ def test_config_field_fuzz_exits_cleanly(tmp_path, capsys, fuzz_checkpoint, wher
             assert code in (0, 1, 2), err
             assert "Traceback" not in err and "Warning" not in err
             assert err.count("error:") <= 1
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["adapter_kind", "depth", "dim", "kind", "rank", "seq_len"]),
+       st.sampled_from(_FUZZ_VALUES))
+def test_checkpoint_field_fuzz_exits_cleanly(tmp_path, capsys, fuzz_checkpoint, name, value):
+    """One field of the checkpoint manifest's backbone set to an edge value:
+    finetune exits 0, 1 or 2 with at most one error line and no traceback or
+    warning, and leaves an --out only on success or with a divergence report."""
+    with tempfile.TemporaryDirectory(dir=tmp_path) as root:
+        root = Path(root)
+        ckpt = _copy_checkpoint(fuzz_checkpoint, root, **{name: value})
+        out = root / "ft"
+        capsys.readouterr()
+        rc = main(["finetune", "--config", str(fuzz_checkpoint.parent / "config.json"),
+                   "--checkpoint", str(ckpt), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc in (0, 1, 2), err
+        assert "Traceback" not in err and "Warning" not in err
+        assert err.count("error:") <= 1
+        if rc != 0 and out.exists():
+            assert rc == 2 and json.loads((out / "summary.json").read_text())["error"]
 
 
 # zeros of both signs, subnormals and the edges of the float64 range, mixed
