@@ -18,10 +18,15 @@ adapter of the same kind whose tensors hold m matrices along a leading axis,
 and makes each member's tensors views into those stacks. The methods above
 are written for both cases, so one call of each serves all m matrices. Only
 the ``_TENSORS`` are stacked; an svd member keeps its own ``split``.
+
+An svd adapter may take ``svd_cache``, a dict owned by the caller that maps
+the sha256 digest of a weight's float64 bytes to that weight's ``svd``
+factors, so adapters of one weight share one decomposition.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -109,6 +114,18 @@ class _Adapter:
         return cls(_read(d, "w.emx", (n, n)))
 
 
+def _weight_svd(a, cache):
+    """``svd`` of the square weight ``a``, through ``cache`` unless it is
+    None. A square weight's bytes fix its shape, so they alone are the key."""
+    if cache is None:
+        return svd(a, "weight")
+    key = hashlib.sha256(np.ascontiguousarray(a)).digest()
+    factors = cache.get(key)
+    if factors is None:
+        factors = cache[key] = svd(a, "weight")
+    return factors
+
+
 class SvdResidualAdapter(_Adapter):
     """Frozen principal subspace + trainable residual SVD factors.
 
@@ -116,17 +133,22 @@ class SvdResidualAdapter(_Adapter):
     r = n - residual_rank singular triplets (never touched after init) and
     (U, s, V) are the residual triplets, initialized to the exact SVD tail so
     the effective weight equals the original matrix at step 0.
+
+    With ``svd_cache`` (see the module docstring), the factors of a weight
+    whose digest is a key are taken from it rather than computed, and the
+    factors computed on a miss are stored under that key; a failed SVD stores
+    nothing. ``split`` copies the factors, so no adapter aliases an entry.
     """
 
     kind = "svd"
     _TENSORS = ("u", "s", "v", "_w_principal", "_u0", "_v0", "_principal_sq", "frozen_frob_sq")
 
-    def __init__(self, w, residual_rank, reg=None):
+    def __init__(self, w, residual_rank, reg=None, svd_cache=None):
         a = _square_weight(w)
         n = a.shape[0]
         if not 1 <= residual_rank <= n:
             raise ValidationError(f"residual rank {residual_rank} out of range [1, {n}]")
-        sp = split(svd(a, "weight"), n - residual_rank)
+        sp = split(_weight_svd(a, svd_cache), n - residual_rank)
         self._init_from_split(n, sp, reg)
 
     def _init_from_split(self, n, sp: SubspaceSplit, reg):

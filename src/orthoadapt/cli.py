@@ -107,8 +107,9 @@ def build_config(raw, seed_override=None):
         if not isinstance(value, list) or not all(
                 isinstance(v, int) and not isinstance(v, bool) for v in value):
             raise ConfigError(f"sweep.{key} must be a list of integers, got {value!r}")
-        if key != "seeds" and any(v < 1 for v in value):
-            raise ConfigError(f"sweep.{key} entries must be >= 1, got {value!r}")
+        if key != "seeds" and any(not 1 <= v <= n for v in value):
+            raise ConfigError(f"sweep.{key} entries must lie in [1, {n}] (spec.dim), "
+                              f"got {value!r}")
     if sweep_cfg.get("seeds") == []:
         raise ConfigError("sweep.seeds must not be empty")
     return spec, backbone, pre_cfg, train_cfg, sweep_cfg
@@ -186,8 +187,9 @@ def cmd_finetune(args):
         overrides["lambda2"] = args.lambda2
     if overrides:
         train_cfg = replace(train_cfg, **overrides)
-    # the checkpoint's dim must equal spec.dim, which _load_checkpoint checks
-    if train_cfg.regime in ("svd", "lora") and not 1 <= train_cfg.rank <= spec.dim:
+    # the checkpoint's dim must equal spec.dim, which _load_checkpoint checks;
+    # fft and linear_probe ignore the rank, but their backbone config checks it
+    if not 1 <= train_cfg.rank <= spec.dim:
         raise ConfigError(f"train.rank {train_cfg.rank} out of range [1, {spec.dim}] "
                           f"for regime {train_cfg.regime!r}")
     pretrained, out = _load_checkpoint(args, spec, train_cfg)

@@ -426,12 +426,14 @@ def pretrain(backbone: BackboneConfig, spec: SyntheticSpec, cfg: PretrainConfig)
                           loss_trace=trace.total_loss.tolist(), accuracy_trace=acc_trace)
 
 
-def finetune_run(pretrained: ToyModel, spec: SyntheticSpec, cfg: TrainConfig):
+def finetune_run(pretrained: ToyModel, spec: SyntheticSpec, cfg: TrainConfig, svd_cache=None):
     """Standard fine-tuning cell: adapt the backbone, train on the forgery
-    task, evaluate seen/unseen splits and the semantic-feature rank."""
+    task, evaluate seen/unseen splits and the semantic-feature rank.
+    ``svd_cache``, a dict owned by the caller, goes to ``adapt_model``: cells
+    that share it decompose each backbone matrix once between them."""
     seq_len = pretrained.seq_len
     reg = RegularizerWeights(cfg.lambda1, cfg.lambda2)
-    model = adapt_model(pretrained, cfg.regime, cfg.rank, cfg.seed, reg=reg)
+    model = adapt_model(pretrained, cfg.regime, cfg.rank, cfg.seed, reg=reg, svd_cache=svd_cache)
     train_ds = gen_dataset(spec, "finetune_train", seq_len)
     eval_sets = {
         "seen": gen_dataset(spec, "finetune_test_seen", seq_len),
@@ -454,20 +456,27 @@ def rank_sweep(pretrained: ToyModel, spec: SyntheticSpec, base_cfg: TrainConfig,
     rank, plus fft and linear_probe baselines, for every seed. Per-cell errors
     are recorded in the row and the sweep continues; a spec that holds out
     no fake method fails every cell's unseen split, so it raises ConfigError
-    before the first."""
+    before the first.
+
+    The svd cells run first and share one ``svd_cache`` (see
+    ``adapt_model``), so each backbone matrix is decomposed once per sweep;
+    the cache is emptied when they are done."""
     spec.unseen_methods  # ConfigError if nothing is held out
     cells = [("svd", r) for r in residual_ranks]
     cells += [("lora", r) for r in lora_ranks]
     cells += [("fft", 0), ("linear_probe", 0)]
+    svd_cache = {}
     rows = []
     for regime, rank in cells:
+        if regime != "svd":
+            svd_cache.clear()
         for s in seeds:
             cell_seed = derive_seed(base_cfg.seed, regime, rank, s)
             ranked = regime in ("svd", "lora")
             cfg = replace(base_cfg, regime=regime, rank=rank if ranked else 1, seed=cell_seed)
             row = {"regime": regime, "rank": rank if ranked else "", "seed": s}
             try:
-                _, report = finetune_run(pretrained, spec, cfg)
+                _, report = finetune_run(pretrained, spec, cfg, svd_cache)
                 metrics = report.final_metrics
                 row.update({
                     f"{short}_{split}": metrics.get(split, {}).get(key, "")

@@ -72,6 +72,8 @@ class BackboneConfig:
             raise ConfigError("seq_len must be >= 1")
         if self.adapter_kind not in KINDS:
             raise ConfigError(f"unknown adapter kind {self.adapter_kind!r}")
+        if not 1 <= self.rank <= self.dim:
+            raise ConfigError(f"backbone rank {self.rank} out of range [1, {self.dim}]")
 
 
 def _layers(cfg):
@@ -130,19 +132,20 @@ class ToyModel:
         return int(self.head_w.size + self.head_b.size + self.stack.count_trainable())
 
 
-def _make_adapter(kind, w, rank, rng, reg):
+def _make_adapter(kind, w, rank, rng, reg, svd_cache):
     if kind == "svd":
-        return SvdResidualAdapter(w, rank, reg=reg)
+        return SvdResidualAdapter(w, rank, reg=reg, svd_cache=svd_cache)
     if kind == "lora":
         return LoraAdapter(w, rank, rng)
     return KINDS[kind](w)
 
 
-def _build(cfg, weights, seed, reg, head_dim):
+def _build(cfg, weights, seed, reg, head_dim, svd_cache=None):
     """A model of ``cfg`` whose adapters wrap ``weights`` (in layer order),
-    each with its own seeded stream, and a seeded Gaussian head."""
+    each with its own seeded stream, and a seeded Gaussian head; svd adapters
+    share the caller's ``svd_cache``."""
     adapters = [_make_adapter(cfg.adapter_kind, w, cfg.rank,
-                              substream(seed, "adapter", b, layer), reg)
+                              substream(seed, "adapter", b, layer), reg, svd_cache)
                 for (b, layer), w in zip(_layers(cfg), weights)]
     head_w = 0.02 * substream(seed, "head").standard_normal((head_dim, cfg.dim))
     return ToyModel(cfg, adapters, head_w, np.zeros(head_dim))
@@ -156,13 +159,19 @@ def init_model(cfg: BackboneConfig, seed, head_dim=2):
     return _build(cfg, weights, seed, reg=None, head_dim=head_dim)
 
 
-def adapt_model(pretrained: ToyModel, regime, rank, seed, reg=None):
+def adapt_model(pretrained: ToyModel, regime, rank, seed, reg=None, svd_cache=None):
     """Wrap a trained backbone's effective weights in fresh adapters for a
-    fine-tuning regime, with a new seeded real/fake classification head."""
+    fine-tuning regime, with a new seeded real/fake classification head.
+
+    ``svd_cache`` is an optional dict owned by the caller, passed to every
+    ``SvdResidualAdapter``: it maps the sha256 of a weight's bytes to the
+    weight's SVD factors, so calls that adapt one backbone share its
+    decompositions. ConfigError unless 1 <= rank <= dim, whatever the regime."""
     if regime not in REGIMES:
         raise ConfigError(f"unknown regime {regime!r}")
     cfg = replace(pretrained.cfg, adapter_kind=_REGIME_TO_KIND[regime], rank=rank)
-    return _build(cfg, pretrained.stack.effective_weight(), seed, reg, head_dim=2)
+    return _build(cfg, pretrained.stack.effective_weight(), seed, reg, head_dim=2,
+                  svd_cache=svd_cache)
 
 
 def _softmax_parts(z):

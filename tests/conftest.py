@@ -17,6 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
+from orthoadapt import adapters, linalg
 from orthoadapt.analysis import logit_line_fit
 from orthoadapt.data import SyntheticSpec
 from orthoadapt.experiment import (
@@ -69,3 +70,17 @@ def experiment_bundle():
                                              "runs": {}})
             world["runs"][tag] = run
     return bundle
+
+
+@pytest.fixture()
+def svd_inputs(monkeypatch):
+    """The bytes of every weight an adapter passes to ``linalg.svd``, through
+    the name ``adapters`` binds."""
+    inputs = []
+
+    def counting(m, label="matrix"):
+        inputs.append(np.asarray(m).tobytes())
+        return linalg.svd(m, label)
+
+    monkeypatch.setattr(adapters, "svd", counting)
+    return inputs

@@ -3,7 +3,7 @@
 import copy
 import json
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -124,6 +124,32 @@ class TestInit:
             arr += 0.1
         after = (ad.split.u_r.tobytes(), ad.split.s_r.tobytes(), ad.split.v_r.tobytes())
         assert before == after
+
+
+class TestSvdCache:
+    def test_one_decomposition_per_weight(self, svd_inputs):
+        w, other = np.random.default_rng(3).standard_normal((2, 12, 12))
+        cache = {}
+        shared = {k: SvdResidualAdapter(w, k, svd_cache=cache) for k in (2, 5)}
+        assert svd_inputs == [w.tobytes()] and len(cache) == 1
+        (factors,) = cache.values()
+        for k, ad in shared.items():
+            plain = SvdResidualAdapter(w, k)
+            for f in fields(SubspaceSplit):
+                a, b = getattr(ad.split, f.name), getattr(plain.split, f.name)
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+            for key, a in {**vars(ad.split), **ad.trainable()}.items():
+                assert not any(np.shares_memory(a, c) for c in vars(factors).values()), key
+        SvdResidualAdapter(other, 2, svd_cache=cache)
+        assert svd_inputs[-1] == other.tobytes() and len(svd_inputs) == 4 and len(cache) == 2
+
+    def test_failed_svd_stores_nothing(self, svd_inputs):
+        cache = {}
+        SvdResidualAdapter(np.eye(6), 1, svd_cache=cache)
+        (key, factors), = cache.items()
+        with pytest.raises(NumericalError):
+            SvdResidualAdapter(np.full((6, 6), 1e308), 1, svd_cache=cache)
+        assert list(cache) == [key] and cache[key] is factors
 
 
 class TestEffectiveWeight:

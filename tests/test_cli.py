@@ -358,12 +358,28 @@ def test_checkpoint_dim_mismatch_stops_before_out(pristine, tmp_path, capsys, co
     assert err == "error: checkpoint dim 16 does not match spec.dim 12\n"
 
 
-@pytest.mark.parametrize("regime,rank", [("svd", 0), ("svd", 17), ("svd", -2), ("lora", 20)])
+@pytest.mark.parametrize("regime,rank", [("svd", 0), ("svd", 17), ("svd", -2), ("lora", 20),
+                                         ("fft", 0), ("linear_probe", 17)])
 def test_finetune_rank_out_of_range_stops_before_out(pristine, tmp_path, capsys, regime, rank):
     rc, err = _run_on_pristine(pristine, tmp_path, capsys, "finetune", TINY_CONFIG,
                                "--regime", regime, "--rank", str(rank))
     assert rc == 1
     assert err == f"error: train.rank {rank} out of range [1, 16] for regime {regime!r}\n"
+
+
+# each once fine-tuned with exit 0: a full adapter does not read the rank
+@pytest.mark.parametrize("rank", [0, -1, 2**62, 2**70])
+def test_checkpoint_rank_out_of_range(pristine, tmp_path, capsys, rank):
+    ckpt = _copy_checkpoint(pristine / "pre", tmp_path, rank=rank)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = main(["finetune", "--config", str(pristine / "config.json"), "--checkpoint", str(ckpt),
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"backbone rank {rank} out of range [1, 16]" in err
+    assert not out.exists()
 
 
 def _copy_checkpoint(ckpt, root, **backbone):
@@ -482,12 +498,13 @@ class TestSweep:
         rows = (a / "sweep.csv").read_text().splitlines()
         assert len(rows) == 1 + 2 + 2  # header, two svd ranks, fft + linear_probe
 
-    # a rank below 1 would train rank-1 adapters under a wrong label, and no
-    # seeds would write an empty table
+    # a rank below 1 would train rank-1 adapters under a wrong label, one
+    # above spec.dim would fail every cell of its row, and no seeds would
+    # write an empty table
     @pytest.mark.parametrize("field,value", [
         ("residual_ranks", ["a"]), ("seeds", 0), ("lora_ranks", [True]),
         ("residual_ranks", [0]), ("residual_ranks", [2, -1]), ("lora_ranks", [-1]),
-        ("seeds", []),
+        ("seeds", []), ("residual_ranks", [17]), ("lora_ranks", [17]),
     ])
     def test_malformed_sweep_section(self, tmp_path, capsys, field, value):
         cfg = json.loads(json.dumps(TINY_CONFIG))

@@ -369,6 +369,27 @@ class TestSweep:
         assert rows[0]["trainable_params"] == rows[1]["trainable_params"] == ""
         assert rows[2]["error"] == rows[3]["error"] == ""
 
+    def test_svd_cells_share_decompositions(self, monkeypatch, svd_inputs):
+        """One linalg.svd call per adapted matrix for the whole sweep, and
+        the table of per-cell finetune_run calls that do not share them."""
+        spec = SyntheticSpec(dim=16, clusters=4, samples_per_split=128, seed=0)
+        model = init_model(BackboneConfig(kind="attention", dim=16, depth=1, seq_len=4), seed=0)
+        cfg = TrainConfig(iters=5, seed=0)
+
+        def sweep():
+            svd_inputs.clear()
+            return sweep_csv(rank_sweep(model, spec, cfg, residual_ranks=[1, 2], lora_ranks=[],
+                                        seeds=[0, 1]))
+
+        shared = sweep()
+        m = len(model.adapters())
+        assert len(svd_inputs) == len(set(svd_inputs)) == m == 4
+        unshared = experiment.finetune_run
+        monkeypatch.setattr(experiment, "finetune_run",
+                            lambda pre, sp, c, svd_cache=None: unshared(pre, sp, c))
+        assert sweep() == shared
+        assert len(svd_inputs) == 2 * 2 * m and len(set(svd_inputs)) == m
+
     def test_trainable_counts_monotone(self):
         spec, model = self.make_pretrained()
         cfg = TrainConfig(iters=2, seed=0)
