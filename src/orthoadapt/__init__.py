@@ -8,7 +8,6 @@ from .adapters import (
     LoraAdapter,
     RegularizerWeights,
     SvdResidualAdapter,
-    load_adapter,
 )
 from .analysis import asymmetry_trace, effective_rank, logit_line_fit, projection_export
 from .data import Dataset, FakeMethod, SyntheticSpec, gen_dataset

@@ -10,8 +10,8 @@ weight into per-tensor gradients, and ``count_trainable()``.
 * FullAdapter - the raw weight, fully trainable.
 * FrozenAdapter - the raw weight, fixed.
 
-``KINDS`` maps each kind's string to its class. ``save`` writes any kind;
-``load_adapter`` reads it back through the kind's ``_load``.
+``KINDS`` maps each kind's string to its class. No kind is saved as itself: a
+checkpoint (``model.save_model``) holds each layer's effective weight.
 
 An adapter holds the tensors of one n x n matrix. ``stack_adapters`` builds an
 adapter of the same kind whose tensors hold m matrices along a leading axis,
@@ -28,12 +28,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .emx import read_emx, read_json, write_emx, write_json
-from .errors import FormatError, ValidationError, check_field_types
+from .errors import ValidationError, check_field_types
 from .linalg import SubspaceSplit, check_matrix, reconstruct, split, sum_sq, svd
 
 
@@ -91,27 +89,6 @@ class _Adapter:
 
     def count_trainable(self):
         return sum(p.size for p in self.trainable().values())
-
-    def _saved(self):
-        """(file stem -> tensor, manifest fields beyond kind and n) that
-        ``save`` writes; by default the ``_TENSORS`` and no rank."""
-        return {key: getattr(self, key) for key in self._TENSORS}, {"r": 0}
-
-    def save(self, directory):
-        """One EMX file per tensor of ``_saved()`` (a vector as one column)
-        and a manifest of the kind, n and the kind's own fields."""
-        d = Path(directory)
-        d.mkdir(parents=True, exist_ok=True)
-        tensors, fields = self._saved()
-        for stem, a in tensors.items():
-            write_emx(d / f"{stem}.emx", a.reshape(a.shape[0], -1))
-        write_json(d / "manifest.json", {"kind": self.kind, "n": self.n, **fields})
-
-    @classmethod
-    def _load(cls, d, n, manifest):
-        """The adapter of this kind saved in ``d``, with ``n`` from its
-        manifest; by default one n x n weight in ``w.emx``."""
-        return cls(_read(d, "w.emx", (n, n)))
 
 
 def _weight_svd(a, cache):
@@ -240,38 +217,13 @@ class SvdResidualAdapter(_Adapter):
             return float(orth), float(sv), grads
         return orth, sv, grads
 
-    def _saved(self):
-        sp = self.split
-        frozen = {"u_r": sp.u_r, "s_r": sp.s_r, "v_r": sp.v_r} if sp.r > 0 else {}
-        return {**frozen, "u": self.u, "s": self.s, "v": self.v}, {
-            "r": sp.r, "lambda1": self.reg.lambda1, "lambda2": self.reg.lambda2,
-            "frozen_frob_sq": self.frozen_frob_sq}
-
-    @classmethod
-    def _load(cls, d, n, manifest):
-        r = int(manifest["r"])
-        if not 0 <= r < n:
-            raise FormatError(f"{d}: frozen rank {r} out of range [0, {n})")
-        k = n - r
-        frob_sq = _manifest_float(d, manifest, "frozen_frob_sq")
-        frozen = {f: _read(d, f"{f}.emx", shape) if r > 0 else np.zeros(shape)
-                  for f, shape in (("u_r", (n, r)), ("s_r", (r,)), ("v_r", (n, r)))}
-        # u.emx and v.emx hold the trained factors, not a basis of the
-        # complement of u_r and v_r, so that basis is rebuilt once
-        u_nr, v_nr = (np.linalg.qr(frozen[f], mode="complete")[0][:, r:] for f in ("u_r", "v_r"))
-        sp = SubspaceSplit(r=r, **frozen, u_nr=u_nr, s_nr=_read(d, "s.emx", (k,)), v_nr=v_nr,
-                           frozen_frob_sq=frob_sq)
-        self = cls.from_split(n, sp, RegularizerWeights(manifest["lambda1"], manifest["lambda2"]))
-        self.u, self.v = _read(d, "u.emx", (n, k)), _read(d, "v.emx", (n, k))
-        return self
-
 
 LORA_INIT_STD = 0.02
 
 
 class LoraAdapter(_Adapter):
     """Frozen base weight plus scale * b @ a; a ~ N(0, LORA_INIT_STD^2), b = 0 at init.
-    Every lora adapter has the one ``scale``, which its manifest records."""
+    Every lora adapter has the one ``scale``."""
 
     kind = "lora"
     _TENSORS = ("w0", "a", "b")
@@ -287,20 +239,6 @@ class LoraAdapter(_Adapter):
         self.a = LORA_INIT_STD * rng.standard_normal((rank, n))
         self.b = np.zeros((n, rank))
 
-    @classmethod
-    def _load(cls, d, n, manifest):
-        r = int(manifest["r"])
-        scale = float(manifest["scale"])
-        if scale != cls.scale:
-            raise FormatError(f"{d / 'manifest.json'}: field 'scale' is {scale!r}, "
-                              f"expected {cls.scale!r}")
-        self = cls.__new__(cls)
-        self.n = n
-        self.w0 = _read(d, "w0.emx", (n, n))
-        self.a = _read(d, "a.emx", (r, n))
-        self.b = _read(d, "b.emx", (n, r))
-        return self
-
     def effective_weight(self):
         return self.w0 + self.scale * (self.b @ self.a)
 
@@ -309,9 +247,6 @@ class LoraAdapter(_Adapter):
 
     def weight_grad(self, m):
         return {"a": self.scale * (_t(self.b) @ m), "b": self.scale * (m @ _t(self.a))}
-
-    def _saved(self):
-        return super()._saved()[0], {"r": self.a.shape[0], "scale": self.scale}
 
 
 class FullAdapter(_Adapter):
@@ -374,40 +309,3 @@ def stack_adapters(adapters):
     st.members = list(adapters)
     st.bind({key: _stack([getattr(a, key) for a in adapters], key) for key in cls._TENSORS})
     return st
-
-
-def load_adapter(directory):
-    """Restore any adapter saved by ``.save()``; byte-stable round trip."""
-    d = Path(directory)
-    manifest = read_json(d / "manifest.json", "adapter manifest")
-    kind = manifest.get("kind")
-    if not isinstance(kind, str) or kind not in KINDS:
-        raise FormatError(f"{d}: unknown adapter kind {kind!r}")
-    try:
-        return KINDS[kind]._load(d, int(manifest["n"]), manifest)
-    except ValidationError:
-        raise
-    except KeyError as exc:
-        raise FormatError(f"{d}: adapter manifest has no field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{d}: bad adapter manifest field: {exc}") from None
-
-
-def _manifest_float(d, manifest, field):
-    """The manifest's number ``field``; FormatError naming the manifest and
-    the field unless it is finite and not below 0."""
-    x = float(manifest[field])
-    if not np.isfinite(x) or x < 0:
-        raise FormatError(f"{d / 'manifest.json'}: field {field!r} is {x!r}, "
-                          "expected a finite non-negative number")
-    return x
-
-
-def _read(d, name, shape):
-    """The EMX file ``name`` in ``d``, which must hold ``shape`` values
-    (a vector is stored as one column)."""
-    a = read_emx(d / name)
-    want = shape if len(shape) == 2 else (shape[0], 1)
-    if a.shape != want:
-        raise FormatError(f"{d / name}: shape {a.shape}, expected {want}")
-    return a.reshape(shape)

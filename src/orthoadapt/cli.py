@@ -159,7 +159,7 @@ def cmd_pretrain(args):
     return 0
 
 
-def _load_checkpoint(args, spec, train_cfg):
+def _read_checkpoint(args, spec, train_cfg):
     """The pretrained model and the checked, not yet created ``--out`` of a
     fine-tuning command; the data is sized by the checkpoint's seq_len."""
     ckpt = Path(args.checkpoint)
@@ -187,12 +187,12 @@ def cmd_finetune(args):
         overrides["lambda2"] = args.lambda2
     if overrides:
         train_cfg = replace(train_cfg, **overrides)
-    # the checkpoint's dim must equal spec.dim, which _load_checkpoint checks;
+    # the checkpoint's dim must equal spec.dim, which _read_checkpoint checks;
     # fft and linear_probe ignore the rank, but their backbone config checks it
     if not 1 <= train_cfg.rank <= spec.dim:
         raise ConfigError(f"train.rank {train_cfg.rank} out of range [1, {spec.dim}] "
                           f"for regime {train_cfg.regime!r}")
-    pretrained, out = _load_checkpoint(args, spec, train_cfg)
+    pretrained, out = _read_checkpoint(args, spec, train_cfg)
     model, report = finetune_run(pretrained, spec, train_cfg)
     print(f"trainable parameters: {report.trainable_params}")
     (_make_out(out) / "trace.csv").write_text(report.trace_csv())
@@ -209,7 +209,7 @@ def cmd_finetune(args):
 def cmd_sweep(args):
     raw = load_config(args.config)
     spec, _, _, train_cfg, sweep_cfg = build_config(raw, args.seed)
-    pretrained, out = _load_checkpoint(args, spec, train_cfg)
+    pretrained, out = _read_checkpoint(args, spec, train_cfg)
     rows = rank_sweep(
         pretrained, spec, train_cfg,
         residual_ranks=sweep_cfg.get("residual_ranks", [1, 2, 4]),

@@ -34,7 +34,8 @@ def check_field_types(cfg):
     """Raise ConfigError unless every int, float or str field of the
     dataclass ``cfg`` holds a value of its declared type, a finite one for
     numbers (bools are not numbers here; ints are accepted for float
-    fields)."""
+    fields), and a field named ``seed`` lies in [0, 2**64), the root seeds
+    ``seeding.substream`` tells apart."""
     for f in fields(cfg):
         kind = {"int": Integral, "float": Real, "str": str}.get(
             getattr(f.type, "__name__", f.type))
@@ -45,6 +46,8 @@ def check_field_types(cfg):
                 or kind is not str and not math.isfinite(value)):
             what = f.type if kind is str else f"finite {f.type}"
             raise ConfigError(f"{type(cfg).__name__}.{f.name} must be a {what}, got {value!r}")
+        if f.name == "seed" and not 0 <= value < 2**64:
+            raise ConfigError(f"{type(cfg).__name__}.seed must lie in [0, 2**64), got {value}")
 
 
 def check_addressable(values, what):

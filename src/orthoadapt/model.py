@@ -26,9 +26,9 @@ import numpy as np
 
 from .adapters import (
     KINDS,
+    FullAdapter,
     LoraAdapter,
     SvdResidualAdapter,
-    load_adapter,
     stack_adapters,
 )
 from .emx import read_emx, read_json, write_emx, write_json
@@ -342,23 +342,40 @@ def model_backward(model: ToyModel, dlogits):
 
 
 def save_model(model: ToyModel, directory, extra=None):
-    """Checkpoint: per-adapter EMX directories, head tensors, one manifest."""
+    """Checkpoint the backbone: per layer its effective weight as a full
+    adapter (``adapters/<name>/w.emx`` and a manifest), the head tensors and
+    one manifest. An adapted model saves as its merged weights, and
+    ``load_model`` reads it back as a full model with the same forward."""
     d = Path(directory)
-    d.mkdir(parents=True, exist_ok=True)
-    for name, adapter in model.adapters():
-        adapter.save(d / "adapters" / name)
+    cfg = replace(model.cfg, adapter_kind="full")
+    for name, w in zip(_names(cfg), model.stack.effective_weight()):
+        layer = d / "adapters" / name
+        layer.mkdir(parents=True, exist_ok=True)
+        write_emx(layer / "w.emx", w)
+        write_json(layer / "manifest.json", {"kind": "full", "n": cfg.dim, "r": 0})
     write_emx(d / "head_w.emx", model.head_w)
     write_emx(d / "head_b.emx", model.head_b.reshape(-1, 1))
-    manifest = {"format": CHECKPOINT_FORMAT, "backbone": asdict(model.cfg)}
+    manifest = {"format": CHECKPOINT_FORMAT, "backbone": asdict(cfg)}
     if extra:
         manifest.update(extra)
     write_json(d / "manifest.json", manifest)
 
 
+def _read(path, shape):
+    """The EMX matrix at ``path``; FormatError unless its shape is ``shape``."""
+    a = read_emx(path)
+    if a.shape != shape:
+        raise FormatError(f"{path}: shape {a.shape}, expected {shape}")
+    return a
+
+
 def load_model(directory):
-    """Restore a checkpoint written by ``save_model``. FormatError when the
-    manifest's ``format`` is not ``CHECKPOINT_FORMAT``, or a tensor's shape
-    or an adapter's kind disagrees with the manifest's ``backbone``."""
+    """Restore a checkpoint written by ``save_model`` as a model of full
+    adapters, reading its layers one at a time. FormatError naming the file
+    when the manifest's ``format`` is not ``CHECKPOINT_FORMAT``, when its
+    ``backbone`` or an adapter manifest names a kind other than full, or when
+    an adapter manifest's ``n`` or a tensor's shape disagrees with
+    ``backbone``."""
     d = Path(directory)
     manifest = read_json(d / "manifest.json", "checkpoint manifest")
     if manifest.get("format") != CHECKPOINT_FORMAT:
@@ -368,21 +385,22 @@ def load_model(directory):
         cfg = BackboneConfig(**manifest.get("backbone"))
     except (TypeError, ConfigError) as exc:
         raise FormatError(f"{d}: bad backbone in checkpoint manifest: {exc}") from exc
+    if cfg.adapter_kind != "full":
+        raise FormatError(f"{d / 'manifest.json'}: backbone adapter_kind "
+                          f"{cfg.adapter_kind!r}, expected 'full'")
+    n = cfg.dim
     adapters = []
     for name in _names(cfg):
-        adapter = load_adapter(d / "adapters" / name)
-        if adapter.kind != cfg.adapter_kind or adapter.n != cfg.dim:
+        layer = d / "adapters" / name
+        fields = read_json(layer / "manifest.json", "adapter manifest")
+        if fields.get("kind") != "full" or fields.get("n") != n:
             raise FormatError(
-                f"{d}: adapter {name} is {adapter.kind} of size {adapter.n}, the backbone "
-                f"expects {cfg.adapter_kind} of size {cfg.dim}")
-        adapters.append(adapter)
+                f"{layer / 'manifest.json'}: adapter {fields.get('kind')!r} of size "
+                f"{fields.get('n')!r}, the backbone expects 'full' of size {n}")
+        adapters.append(FullAdapter(_read(layer / "w.emx", (n, n))))
     head_w = read_emx(d / "head_w.emx")
     head_b = read_emx(d / "head_b.emx").reshape(-1)
-    if head_w.shape[1] != cfg.dim or head_b.shape != head_w.shape[:1]:
+    if head_w.shape[1] != n or head_b.shape != head_w.shape[:1]:
         raise FormatError(f"{d}: head shapes {head_w.shape} and {head_b.shape} do not fit "
-                          f"a ({head_w.shape[0]}, {cfg.dim}) head with one bias per class")
-    try:
-        model = ToyModel(cfg, adapters, head_w, head_b)
-    except ValidationError as exc:
-        raise FormatError(f"{d}: {exc}") from exc
-    return model, manifest
+                          f"a ({head_w.shape[0]}, {n}) head with one bias per class")
+    return ToyModel(cfg, adapters, head_w, head_b), manifest

@@ -1,7 +1,6 @@
 """Adapter parameterizations: forward maps, regularizers, exact gradients."""
 
 import copy
-import json
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -16,10 +15,9 @@ from orthoadapt.adapters import (
     LoraAdapter,
     RegularizerWeights,
     SvdResidualAdapter,
-    load_adapter,
     stack_adapters,
 )
-from orthoadapt.errors import FormatError, NumericalError, ValidationError
+from orthoadapt.errors import NumericalError, ValidationError
 from orthoadapt.linalg import SubspaceSplit, frobenius_sq
 from orthoadapt.model import BackboneConfig, init_model, model_forward
 
@@ -477,88 +475,6 @@ class TestCounts:
     def test_frozen_and_full(self):
         assert FrozenAdapter(np.eye(4)).count_trainable() == 0
         assert FullAdapter(np.eye(4)).count_trainable() == 16
-
-
-# the on-disk layout of each kind: its EMX file stems and its manifest fields
-# beyond "kind" and "n"; checkpoints written before must keep loading
-SAVED_LAYOUT = {
-    "svd": ("u_r s_r v_r u s v", "r lambda1 lambda2 frozen_frob_sq"),
-    "lora": ("w0 a b", "r scale"),
-    "full": ("w", "r"),
-    "frozen": ("w", "r"),
-}
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("kind", ["svd", "lora", "full", "frozen"])
-    def test_round_trip_bytes(self, tmp_path, kind):
-        rng = np.random.default_rng(21)
-        w = rng.standard_normal((6, 6))
-        if kind == "svd":
-            ad = SvdResidualAdapter(w, 2, reg=RegularizerWeights(0.5, 0.25))
-            ad.u += 0.01  # drift away from init
-        elif kind == "lora":
-            ad = LoraAdapter(w, 3, rng)
-            ad.b += 0.3
-        elif kind == "full":
-            ad = FullAdapter(w)
-        else:
-            ad = FrozenAdapter(w)
-        d1 = tmp_path / "a"
-        d2 = tmp_path / "b"
-        ad.save(d1)
-        stems, fields = SAVED_LAYOUT[kind]
-        assert sorted(f.name for f in d1.iterdir()) == sorted(
-            [f"{stem}.emx" for stem in stems.split()] + ["manifest.json"])
-        assert set(json.loads((d1 / "manifest.json").read_text())) == {"kind", "n", *fields.split()}
-        back = load_adapter(d1)
-        assert back.kind == kind
-        np.testing.assert_array_equal(back.effective_weight(), ad.effective_weight())
-        back.save(d2)
-        for f1 in sorted(d1.iterdir()):
-            assert f1.read_bytes() == (d2 / f1.name).read_bytes()
-
-    def test_full_residual_rank_round_trip(self, tmp_path):
-        # residual_rank == n means there is no principal part to store
-        w = np.random.default_rng(22).standard_normal((5, 5))
-        ad = SvdResidualAdapter(w, 5)
-        ad.save(tmp_path / "f")
-        back = load_adapter(tmp_path / "f")
-        np.testing.assert_array_equal(back.effective_weight(), ad.effective_weight())
-
-    @pytest.mark.parametrize("m", [1, 3])
-    def test_loaded_regularizer_matches_saved(self, tmp_path, m):
-        # the saved u and v are trained factors, not a basis of the complement
-        # of u_r and v_r: the loaded adapter's regularizer must not take them
-        # for one
-        saved = random_adapters("svd", m, 16, 4, 23 + m)
-        loaded = []
-        for i, a in enumerate(saved):
-            a.save(tmp_path / str(i))
-            loaded.append(load_adapter(tmp_path / str(i)))
-        if m > 1:
-            saved, loaded = [stack_adapters(saved)], [stack_adapters(loaded)]
-        for a, back in zip(saved, loaded):
-            (orth, sv, grads), (orth2, sv2, grads2) = a.reg_terms(0.7, 0.9), back.reg_terms(0.7, 0.9)
-            np.testing.assert_allclose(orth2, orth, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(sv2, sv, rtol=1e-12, atol=0)
-            assert set(grads2) == set(grads)
-            for key, g in grads.items():
-                assert np.abs(grads2[key] - g).max() <= 1e-12 * np.abs(g).max(), key
-
-    @pytest.mark.parametrize("kind,field,value", [
-        ("svd", "frozen_frob_sq", float("nan")), ("svd", "frozen_frob_sq", float("inf")),
-        ("svd", "frozen_frob_sq", -1.0), ("lora", "scale", float("inf")),
-        ("lora", "scale", float("nan")), ("lora", "scale", 3.0),
-    ])
-    def test_rejects_non_finite_manifest_scalar(self, tmp_path, kind, field, value):
-        ad = random_adapters(kind, 1, 6, 2, 24)[0]
-        ad.save(tmp_path)
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        manifest[field] = value
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(FormatError, match=f"manifest.json: field '{field}'"):
-            load_adapter(tmp_path)
 
 
 def random_adapters(kind, m, n, k, seed):

@@ -295,6 +295,7 @@ def test_checkpoint_manifest_damage(pristine, tmp_path, capsys, name, key, value
     ("pretrain", "lr", -0.001), ("spec", "samples_per_split", -3), ("spec", "perturb_rank", 0),
     ("spec", "cluster_mean_scale", 0), ("spec", "method_overlap", 2.0),
     ("spec", "mean_align", -1.0), ("backbone", "kind", ["mlp"]), ("spec", "holdout_methods", 3),
+    ("spec", "seed", -1), ("pretrain", "seed", 2**64), ("train", "seed", 2**64),
     *((section, field, size) for size in (2**62, 2**70)
       for section, field in (("spec", "dim"), ("spec", "samples_per_split"),
                              ("backbone", "seq_len"), ("pretrain", "batch"), ("train", "batch"))),
@@ -309,6 +310,15 @@ def test_config_value_out_of_range(tmp_path, capsys, section, field, value):
     assert rc == 1 and not (tmp_path / "x").exists()
     assert err.startswith("error: ") and err.count("\n") == 1
     assert field in err and "Traceback" not in err
+
+
+def test_seed_flag_out_of_range(tmp_path, capsys, config_path):
+    # a root seed is 64 bits wide: 2**64 would draw what seed 0 draws
+    rc = main(["pretrain", "--config", str(config_path), "--seed", str(2**64),
+               "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert rc == 1 and not (tmp_path / "x").exists()
+    assert err.startswith("error: ") and err.count("\n") == 1 and "seed" in err
 
 
 @pytest.mark.parametrize("command", ["finetune", "sweep"])

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthoadapt.adapters import FullAdapter, load_adapter
 from orthoadapt.errors import StateError, ValidationError
 from orthoadapt.experiment import _regularizers, adam_step
 from orthoadapt.model import (
@@ -365,15 +364,27 @@ class TestCheckpoint:
         for rel in files_a:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
+    @pytest.mark.parametrize("kind", ["svd", "lora", "frozen"])
+    def test_adapted_model_loads_as_full(self, tmp_path, kind):
+        # a checkpoint holds a backbone: an adapted model saves as its merged
+        # weights and loads as a full model with the same forward
+        model = init_model(attn_cfg(depth=2, adapter_kind=kind, rank=2), seed=12)
+        rng = np.random.default_rng(13)
+        for p in model.trainable().values():
+            p += 0.1 * rng.standard_normal(p.shape)
+        save_model(model, tmp_path)
+        back, manifest = load_model(tmp_path)
+        assert back.stack.kind == manifest["backbone"]["adapter_kind"] == "full"
+        x = rng.standard_normal((8, 8))
+        np.testing.assert_array_equal(model_forward(back, x)[0], model_forward(model, x)[0])
+
     @pytest.mark.parametrize("kind", ["lora", "svd"])
     def test_loaded_tensors_take_adam_step(self, tmp_path, kind):
-        # restored tensors are writable arrays, not views of a file's bytes
+        # restored tensors are writable arrays, not views of a file's bytes;
+        # an adapted model loads as the full weights it merged into
         save_model(init_model(mlp_cfg(adapter_kind=kind, rank=2), seed=11), tmp_path)
-        model, _ = load_model(tmp_path)
-        adapter = load_adapter(tmp_path / "adapters" / "block0.w")
-        for params in (model.trainable(), adapter.trainable()):
-            before = {key: p.copy() for key, p in params.items()}
-            adam_step(params, {key: np.ones_like(p) for key, p in params.items()}, {},
-                      lr=1e-2, t=1)
-            for key, p in params.items():
-                assert (p < before[key]).all(), key
+        params = load_model(tmp_path)[0].trainable()
+        before = {key: p.copy() for key, p in params.items()}
+        adam_step(params, {key: np.ones_like(p) for key, p in params.items()}, {}, lr=1e-2, t=1)
+        for key, p in params.items():
+            assert (p < before[key]).all(), key
