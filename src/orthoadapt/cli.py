@@ -77,9 +77,15 @@ def load_config(path):
 
 def _check_data_size(spec, seq_len, seq_len_name, *batches):
     """ConfigError unless a split of ``spec``, and each (field name, groups)
-    of ``batches``, fits in one array at ``seq_len`` rows a group."""
+    of ``batches``, fits in one array at ``seq_len`` rows a group and in the
+    physical RAM, past which a granted allocation may end in the OOM killer."""
+    ram = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     for name, groups in (("spec.samples_per_split", spec.samples_per_split), *batches):
-        check_addressable(groups * seq_len * spec.dim, f"{name} × {seq_len_name} × spec.dim")
+        values, what = groups * seq_len * spec.dim, f"{name} × {seq_len_name} × spec.dim"
+        check_addressable(values, what)
+        if 8 * values > ram:
+            raise ConfigError(f"{what} is {8 * values} bytes of float64, more than the "
+                              f"{ram} bytes of RAM")
 
 
 def build_config(raw, seed_override=None):

@@ -9,6 +9,7 @@ config and seed.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import asdict, dataclass, field, replace
 
@@ -135,29 +136,41 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 def adam_step(params, grads, state, lr, t=1):
     """One Adam update, in place, with ``ADAM_BETA1``, ``ADAM_BETA2`` and
     ``ADAM_EPS``. ``grads`` holds one gradient per name of ``params``; a
-    missing one raises ValidationError naming it, before any update.
-    ``state`` maps names to (m, v) moment pairs and is created lazily."""
+    missing, misshapen or non-finite one raises naming it, before any update.
+    ``state`` maps names to (m, v) moment pairs and is created lazily. Each
+    tensor is updated through two temporaries, with the operations of
+    ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)`` in that order."""
     if t < 1:
         raise ValidationError("adam_step needs t >= 1")
     for name in params:
         if name not in grads:
             raise ValidationError(f"adam_step has no gradient for {name!r}")
+    checked = []
     for name, p in params.items():
         g = np.asarray(grads[name], dtype=np.float64)
         if g.shape != p.shape:
             raise ValidationError(f"gradient shape mismatch for {name}")
         if not np.logical_and.reduce(np.isfinite(g), axis=None):
             raise NumericalError(f"non-finite gradient for {name}")
+        checked.append((name, p, g))
+    for name, p, g in checked:
         if name not in state:
             state[name] = (np.zeros_like(p), np.zeros_like(p))
         m, v = state[name]
+        a = (1.0 - ADAM_BETA1) * g
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += a
+        np.multiply(1.0 - ADAM_BETA2, g, out=a)
+        a *= g
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / (1.0 - ADAM_BETA1**t)
-        v_hat = v / (1.0 - ADAM_BETA2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        v += a
+        b = v / (1.0 - ADAM_BETA2**t)
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        np.divide(m, 1.0 - ADAM_BETA1**t, out=a)
+        a *= lr
+        a /= b
+        p -= a
     return params, state
 
 
@@ -197,19 +210,12 @@ def accuracy_at_half(probabilities, labels):
 def evaluate(model: ToyModel, ds: Dataset):
     """Inference pass: returns (logits, features, fake probabilities)."""
     logits, features = model_forward(model, ds.x, train=False)
-    return logits, features, _softmax(logits)[:, 1]
+    return logits, features, _softmax(logits.copy())[:, 1]
 
 
 def binary_metrics(model, ds):
     logits, _, probs = evaluate(model, ds)
     return {"auc": roc_auc(probs, ds.y), "accuracy": accuracy_at_half(probs, ds.y)}
-
-
-def _sample_batch(rng, ds: Dataset, batch):
-    idx = rng.integers(0, ds.groups, size=batch)
-    dim = ds.x.shape[1]
-    x = ds.x.reshape(ds.groups, ds.seq_len, dim).take(idx, axis=0).reshape(-1, dim)
-    return x, ds.y.take(idx)
 
 
 def _check_dataset(model: ToyModel, ds: Dataset, label):
@@ -256,6 +262,15 @@ def _views(buffer, like):
     return views
 
 
+def _batch_indices(rng, groups, batch):
+    """Batch indices, one array per step, drawn for up to 64 steps at a time:
+    one (steps, batch) draw gives the indices of that many per-step draws
+    from ``rng``, and holds at most max(4096, batch) of them."""
+    steps = max(1, min(64, 4096 // batch))
+    while True:
+        yield from rng.integers(0, groups, size=(steps, batch))
+
+
 class _Trainer:
     """The training step that ``train`` and ``pretrain`` share, for one run.
 
@@ -273,8 +288,9 @@ class _Trainer:
         self.grad = np.zeros_like(self.flat)
         model.bind_trainable(_views(self.flat, params))
         self.grads = _views(self.grad, params)
-        self.model, self.dataset, self.rng, self.batch, self.lambdas = (
-            model, dataset, rng, batch, lambdas)
+        self.model, self.lambdas = model, lambdas
+        self._rows, self._labels = dataset.x.reshape(dataset.groups, -1), dataset.y  # a row a group
+        self._indices = _batch_indices(rng, dataset.groups, batch)
         self._state = {}
 
     def step(self, t, lr, report: ExperimentReport):
@@ -283,7 +299,8 @@ class _Trainer:
         take one Adam step. NumericalError on non-finite activations, or
         naming the first non-finite gradient tensor before any update."""
         model = self.model
-        x, y = _sample_batch(self.rng, self.dataset, self.batch)
+        idx = next(self._indices)
+        x, y = self._rows.take(idx, axis=0).reshape(-1, model.dim), self._labels.take(idx)
         logits, _ = _forward(model, x, train=True)
         loss, real, fake, dlogits = cls_loss_and_grad(logits, y)
         lambda1, lambda2 = self.lambdas or (0.0, 0.0)
@@ -295,14 +312,15 @@ class _Trainer:
         report.fake_loss.append(fake)
         report.orth_loss.append(orth)
         report.sv_loss.append(sv)
-        if not np.isfinite(total):
+        if not math.isfinite(total):
             return False
 
         grads = model_backward(model, dlogits)
         for key, view in self.grads.items():
-            view[...] = grads[key]
             if key in reg_grads:
-                view += reg_grads[key]
+                np.add(grads[key], reg_grads[key], out=view)
+            else:
+                view[...] = grads[key]
         try:
             adam_step({"params": self.flat}, {"params": self.grad}, self._state, lr, t=t)
         except NumericalError:

@@ -174,17 +174,12 @@ def adapt_model(pretrained: ToyModel, regime, rank, seed, reg=None, svd_cache=No
                   svd_cache=svd_cache)
 
 
-def _softmax_parts(z):
-    """(shifted, exp(shifted), row sums) along the last axis, the sums kept
-    as a column; softmax = exp(shifted) / sums."""
-    shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return shifted, e, np.add.reduce(e, axis=-1, keepdims=True)
-
-
 def _softmax(z):
-    _, e, sums = _softmax_parts(z)
-    return e / sums
+    """Softmax along the last axis, computed in place on ``z``, which it returns."""
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    return z
 
 
 def model_forward(model: ToyModel, x, train=False):
@@ -215,8 +210,8 @@ def _forward(model: ToyModel, xa, train=False):
     h = xa
     if model.cfg.kind == "mlp":
         for b in range(model.cfg.depth):
-            z = h @ weights[b].T
-            h_new = np.tanh(z)
+            h_new = h @ weights[b].T
+            np.tanh(h_new, out=h_new)
             if not np.logical_and.reduce(np.isfinite(h_new), axis=None):
                 raise NumericalError(f"non-finite activations in block {b}")
             if train:
@@ -233,7 +228,8 @@ def _forward(model: ToyModel, xa, train=False):
             v = (h @ wv.T).reshape(-1, L, n)
             p = _softmax((q @ k.swapaxes(1, 2)) * inv_sqrt)
             ctx = (p @ v).reshape(-1, n)
-            h_new = h + ctx @ wo.T
+            h_new = ctx @ wo.T
+            h_new += h
             if not np.logical_and.reduce(np.isfinite(h_new), axis=None):
                 raise NumericalError(f"non-finite activations in block {b}")
             if train:
@@ -282,14 +278,17 @@ def cls_loss_and_grad(logits, labels):
     front-ends): ``train`` and ``pretrain`` validate their dataset once, and
     labels from it index logit columns that exist."""
     y = np.asarray(labels)
-    shifted, e, sums = _softmax_parts(logits)
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    sums = np.add.reduce(e, axis=-1, keepdims=True)
     rows = np.arange(e.shape[0])
     per_sample = np.log(sums[:, 0]) - shifted[rows, y]
     real, fake = (float(np.add.reduce(x) / x.size) if x.size else float("nan")
                   for x in (per_sample[y == 0], per_sample[y == 1]))
-    p = e / sums
-    p[rows, y] -= 1.0
-    return float(np.add.reduce(per_sample) / per_sample.size), real, fake, p / e.shape[0]
+    e /= sums  # the softmax, then in place its gradient
+    e[rows, y] -= 1.0
+    e /= e.shape[0]
+    return float(np.add.reduce(per_sample) / per_sample.size), real, fake, e
 
 
 def model_backward(model: ToyModel, dlogits):
@@ -319,25 +318,32 @@ def model_backward(model: ToyModel, dlogits):
         dh = dfeat
         for b in range(model.cfg.depth - 1, -1, -1):
             blk = cache["blocks"][b]
-            dz = dh * (1.0 - blk["h_out"] ** 2)
-            dw[b] = dz.T @ blk["h_in"]
+            dz = 1.0 - blk["h_out"] ** 2
+            dz *= dh
+            np.matmul(dz.T, blk["h_in"], out=dw[b])
             dh = dz @ weights[b]
     else:
         inv_sqrt = 1.0 / math.sqrt(n)
         dh = np.repeat(dfeat / L, L, axis=0)
+        dq, dk, dv = dqkv = np.empty((3,) + cache["blocks"][0]["q"].shape)  # of one block
+        rows = dqkv.reshape(3, -1, n)  # dq, dk and dv as (groups·L, n) rows
         for b in range(model.cfg.depth - 1, -1, -1):
             blk = cache["blocks"][b]
             h_in, q, k, v, p, ctx = (blk[key] for key in ("h_in", "q", "k", "v", "p", "ctx"))
             wq, wk, wv, wo = weights[4 * b:4 * b + 4]
             dctx = (dh @ wo).reshape(-1, L, n)  # the residual add passes dh to out and to h
-            dw[4 * b + 3] = dh.T @ ctx
+            np.matmul(dh.T, ctx, out=dw[4 * b + 3])
             dp = dctx @ v.swapaxes(1, 2)
-            dv = (p.swapaxes(1, 2) @ dctx).reshape(-1, n)
-            dscores = p * (dp - np.add.reduce(dp * p, axis=-1, keepdims=True))
-            dq = ((dscores @ k) * inv_sqrt).reshape(-1, n)
-            dk = ((dscores.swapaxes(1, 2) @ q) * inv_sqrt).reshape(-1, n)
-            dw[4 * b:4 * b + 3] = [d.T @ h_in for d in (dq, dk, dv)]
-            dh = dh + dq @ wq + dk @ wk + dv @ wv
+            np.matmul(p.swapaxes(1, 2), dctx, out=dv)
+            dp -= np.add.reduce(dp * p, axis=-1, keepdims=True)
+            dp *= p  # dscores
+            np.matmul(dp, k, out=dq)
+            dq *= inv_sqrt
+            np.matmul(dp.swapaxes(1, 2), q, out=dk)
+            dk *= inv_sqrt
+            np.matmul(rows.swapaxes(1, 2), h_in, out=dw[4 * b:4 * b + 3])
+            for d, w in zip(rows, (wq, wk, wv)):
+                dh += d @ w
     return {**model.stack.weight_grad(dw), **head}
 
 

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 import orthoadapt
 from orthoadapt import linalg
-from orthoadapt.cli import _SECTIONS, main
+from orthoadapt.cli import _SECTIONS, build_config, main
 from orthoadapt.emx import read_emx, write_emx
+from orthoadapt.errors import ConfigError
 
 TINY_CONFIG = {
     "spec": {"dim": 16, "clusters": 4, "samples_per_split": 128, "seed": 0},
@@ -613,9 +614,11 @@ def test_divergence_prints_no_numpy_warning(pristine, tmp_path, command, code):
     assert "Warning" not in run.stderr and "Traceback" not in run.stderr
 
 
-def test_huge_split_exits_2_with_one_error(tmp_path, capsys):
+def test_huge_split_exits_2_with_one_error(tmp_path, capsys, monkeypatch):
     # 10**15 samples exceed any address space: the allocation is refused
-    # before anything is written into it
+    # before anything is written into it. The RAM bound of the config checks
+    # refuses them first, so it is lifted here, as on a machine of 2**80 bytes.
+    monkeypatch.setattr(os, "sysconf", lambda name: 2**40)
     cfg = json.loads(json.dumps(TINY_CONFIG))
     cfg["spec"]["samples_per_split"] = 10**15
     path = tmp_path / "huge.json"
@@ -624,6 +627,37 @@ def test_huge_split_exits_2_with_one_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+
+def _past_ram(values_per_sample):
+    """A sample count whose float64 split is larger than this machine's RAM,
+    and at least 10**9."""
+    ram = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    return max(10**9, ram // (8 * values_per_sample) + 1)
+
+
+def test_split_past_ram_is_a_config_error():
+    # 10**9 samples of dim 32 are 256 GB: addressable, so an address-space check
+    # passed them, and an overcommitted allocation could end in the OOM killer
+    raw = {"spec": {"dim": 32, "samples_per_split": _past_ram(32)},
+           "backbone": {"kind": "mlp", "dim": 32, "seq_len": 1}}
+    with pytest.raises(ConfigError, match=r"^spec\.samples_per_split × backbone\.seq_len × "
+                       r"spec\.dim is \d+ bytes of float64, more than the \d+ bytes of RAM$"):
+        build_config(raw)
+
+
+@pytest.mark.parametrize("field", ["pretrain.batch", "train.batch"])
+def test_batch_past_ram_exits_1(tmp_path, capsys, field):
+    section, name = field.split(".")
+    cfg = json.loads(json.dumps(TINY_CONFIG))
+    cfg[section][name] = _past_ram(cfg["spec"]["dim"] * cfg["backbone"]["seq_len"])
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["pretrain", "--config", str(path), "--out", str(tmp_path / "pre")])
+    err = capsys.readouterr().err
+    assert rc == 1 and not (tmp_path / "pre").exists()
+    assert err.startswith(f"error: {field} × backbone.seq_len × spec.dim is ")
+    assert "bytes of RAM" in err and err.count("\n") == 1
 
 
 # pretrain needs one held-out pretraining sample and a fine-tuning cell's

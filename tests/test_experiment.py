@@ -69,6 +69,38 @@ class TestAdam:
         with pytest.raises(NumericalError):
             adam_step({"w": np.zeros(2)}, {"w": np.array([1.0, np.nan])}, {}, lr=0.1, t=1)
 
+    @pytest.mark.parametrize("t", [1, 2, 10_000])
+    def test_in_place_update_bits(self, t):
+        # random tensors and moments: the update is bit-equal to the plain
+        # expression of the moments it leaves, which stay the same arrays
+        rng = np.random.default_rng(t)
+        shapes = {"a": (3, 5, 2), "b": (7,)}
+        params = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        state = {k: (rng.standard_normal(s), rng.random(s)) for k, s in shapes.items()}
+        before = {k: p.copy() for k, p in params.items()}
+        grads_before = {k: g.copy() for k, g in grads.items()}
+        moments = {k: mv for k, mv in state.items()}
+        lr = 3e-3
+        adam_step(params, grads, state, lr=lr, t=t)
+        b1, b2, eps = experiment.ADAM_BETA1, experiment.ADAM_BETA2, experiment.ADAM_EPS
+        for k in shapes:
+            m, v = state[k]
+            assert m is moments[k][0] and v is moments[k][1]
+            want = before[k] - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+            assert params[k].tobytes() == want.tobytes()
+            assert grads[k].tobytes() == grads_before[k].tobytes()
+
+    def test_non_finite_gradient_changes_nothing(self):
+        # the NaN is in the second tensor: the first is not updated either
+        p = {"a": np.ones(3), "b": np.ones(2)}
+        state = {"a": (np.full(3, 0.5), np.full(3, 0.25))}
+        snapshot = [a.tobytes() for a in (p["a"], p["b"], *state["a"])]
+        with pytest.raises(NumericalError, match="non-finite gradient for b$"):
+            adam_step(p, {"a": np.ones(3), "b": np.array([1.0, np.inf])}, state, lr=0.1, t=3)
+        assert [a.tobytes() for a in (p["a"], p["b"], *state["a"])] == snapshot
+        assert list(state) == ["a"]
+
     def test_missing_gradient(self):
         # no zero fill: a missing gradient is an error, raised before any update
         p = {"a": np.zeros(2), "b": np.zeros(3)}
